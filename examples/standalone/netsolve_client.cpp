@@ -36,6 +36,7 @@
 #include "common/config.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
+#include "net/pool.hpp"
 
 using namespace ns;
 using dsl::DataObject;
@@ -127,29 +128,27 @@ int cmd_drain(const net::Endpoint& server, double deadline_s) {
 
 int cmd_submit(const net::Endpoint& server, std::uint64_t id, std::int64_t mflop,
                double wait_s) {
-  auto conn = net::TcpConnection::connect(server, 5.0);
-  if (!conn.ok()) {
-    std::fprintf(stderr, "connect failed: %s\n", conn.error().to_string().c_str());
-    return 1;
-  }
   proto::SolveRequest request;
   request.request_id = id;
   request.problem = "simwork";
   request.args = {DataObject(mflop)};
   serial::Encoder enc;
   request.encode(enc);
-  auto sent = net::send_message(
-      conn.value(), static_cast<std::uint16_t>(proto::MessageType::kSolveRequest),
-      enc.take());
-  if (!sent.ok()) {
-    std::fprintf(stderr, "submit failed: %s\n", sent.error().to_string().c_str());
-    return 1;
+  const serial::Bytes payload = enc.take();
+  const auto type = static_cast<std::uint16_t>(proto::MessageType::kSolveRequest);
+  if (wait_s <= 0.0) {
+    // Fire-and-forget; reattach with cmd=probe.
+    auto sent = net::post(server, type, payload, /*dial_timeout_s=*/5.0);
+    if (!sent.ok()) {
+      std::fprintf(stderr, "submit failed: %s\n", sent.error().to_string().c_str());
+      return 1;
+    }
+    std::printf("submitted simwork(%lld) as request %llu to %s\n",
+                static_cast<long long>(mflop), static_cast<unsigned long long>(id),
+                server.to_string().c_str());
+    return 0;
   }
-  std::printf("submitted simwork(%lld) as request %llu to %s\n",
-              static_cast<long long>(mflop), static_cast<unsigned long long>(id),
-              server.to_string().c_str());
-  if (wait_s <= 0.0) return 0;  // fire-and-forget; reattach with cmd=probe
-  auto reply = net::recv_message(conn.value(), wait_s);
+  auto reply = net::call(server, type, payload, wait_s, /*dial_timeout_s=*/5.0);
   if (!reply.ok()) {
     std::fprintf(stderr, "no reply: %s\n", reply.error().to_string().c_str());
     return 1;

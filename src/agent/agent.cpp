@@ -20,13 +20,13 @@ serial::Bytes encode_payload(const auto& msg) {
   return enc.take();
 }
 
-Status send_error(const net::ReactorConnPtr& conn, ErrorCode code,
+Status send_error(const net::ReactorConnPtr& conn, std::uint64_t id, ErrorCode code,
                   const std::string& message) {
   proto::ErrorReply reply;
   reply.error_code = static_cast<std::uint16_t>(code);
   reply.message = message;
   return conn->send(static_cast<std::uint16_t>(MessageType::kErrorReply),
-                    encode_payload(reply));
+                    encode_payload(reply), id);
 }
 
 }  // namespace
@@ -97,8 +97,8 @@ void Agent::note_peer_result(const net::Endpoint& peer, bool ok) {
 
 void Agent::bootstrap_from_peers() {
   for (const auto& peer : peer_endpoints()) {
-    auto reply = net::pool_round_trip(peer, static_cast<std::uint16_t>(MessageType::kSyncPull),
-                                      {}, /*timeout_s=*/2.0, /*dial_timeout_s=*/0.5);
+    auto reply = net::call(peer, static_cast<std::uint16_t>(MessageType::kSyncPull), {},
+                           /*timeout_s=*/2.0, /*dial_timeout_s=*/0.5);
     if (!reply.ok() ||
         reply.value().type != static_cast<std::uint16_t>(MessageType::kSyncState)) {
       note_peer_result(peer, false);
@@ -154,13 +154,8 @@ void Agent::ping_loop() {
     if (stopping_.load()) return;
 
     const auto ping_ok = [](const net::Endpoint& endpoint) {
-      auto conn = net::TcpConnection::connect(endpoint, 0.5);
-      if (!conn.ok() ||
-          !net::send_message(conn.value(), static_cast<std::uint16_t>(MessageType::kPing), {})
-               .ok()) {
-        return false;
-      }
-      auto reply = net::recv_message(conn.value(), 1.0);
+      auto reply = net::call(endpoint, static_cast<std::uint16_t>(MessageType::kPing), {},
+                             /*timeout_s=*/1.0, /*dial_timeout_s=*/0.5);
       return reply.ok() &&
              reply.value().type == static_cast<std::uint16_t>(MessageType::kPong);
     };
@@ -197,13 +192,12 @@ void Agent::sync_loop() {
     if (state.entries.empty()) continue;
     const serial::Bytes payload = encode_payload(state);
     for (const auto& peer : peer_endpoints()) {
-      // Snapshots ride the keep-alive pool: one warm connection per peer
-      // instead of a dial per period. A down peer fails the dial and is
-      // retried next period.
-      const bool sent =
-          net::pool_post(peer, static_cast<std::uint16_t>(MessageType::kSyncState), payload,
-                         /*dial_timeout_s=*/0.5)
-              .ok();
+      // Snapshots are posts on the peer's pooled channel: a warm
+      // connection per peer instead of a dial per period. A down peer fails
+      // the dial and is retried next period.
+      const bool sent = net::post(peer, static_cast<std::uint16_t>(MessageType::kSyncState),
+                                  payload, /*dial_timeout_s=*/0.5)
+                            .ok();
       note_peer_result(peer, sent);
     }
   }
@@ -216,7 +210,7 @@ bool Agent::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) 
     case MessageType::kRegisterServer: {
       auto reg = proto::RegisterServer::decode(dec);
       if (!reg.ok()) {
-        (void)send_error(conn, reg.error().code, reg.error().message);
+        (void)send_error(conn, msg.id, reg.error().code, reg.error().message);
         return false;
       }
       stat_registrations_.fetch_add(1);
@@ -227,7 +221,7 @@ bool Agent::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) 
       // mesh even when configured with a single agent endpoint.
       ack.peer_agents = peer_endpoints();
       return conn->send(static_cast<std::uint16_t>(MessageType::kRegisterAck),
-                               encode_payload(ack))
+                               encode_payload(ack), msg.id)
           .ok();
     }
 
@@ -253,7 +247,7 @@ bool Agent::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) 
     case MessageType::kQuery: {
       auto query = proto::Query::decode(dec);
       if (!query.ok()) {
-        (void)send_error(conn, query.error().code, query.error().message);
+        (void)send_error(conn, msg.id, query.error().code, query.error().message);
         return false;
       }
       stat_queries_.fetch_add(1);
@@ -261,12 +255,12 @@ bool Agent::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) 
       const auto spec = registry_.problem_spec(query.value().problem);
       if (!spec) {
         metrics::counter("agent.unknown_problem_total").inc();
-        return send_error(conn, ErrorCode::kUnknownProblem, query.value().problem).ok();
+        return send_error(conn, msg.id, ErrorCode::kUnknownProblem, query.value().problem).ok();
       }
       auto records = registry_.candidates_for(query.value().problem);
       if (records.empty()) {
         metrics::counter("agent.no_server_total").inc();
-        return send_error(conn, ErrorCode::kNoServer,
+        return send_error(conn, msg.id, ErrorCode::kNoServer,
                           "no alive server offers " + query.value().problem)
             .ok();
       }
@@ -293,7 +287,7 @@ bool Agent::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) 
         registry_.record_assignment(list.candidates.front().server_id);
       }
       return conn->send(static_cast<std::uint16_t>(MessageType::kServerList),
-                               encode_payload(list))
+                               encode_payload(list), msg.id)
           .ok();
     }
 
@@ -320,17 +314,17 @@ bool Agent::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) 
       proto::ProblemCatalog catalog;
       catalog.problems = registry_.catalog();
       return conn->send(static_cast<std::uint16_t>(MessageType::kProblemCatalog),
-                               encode_payload(catalog))
+                               encode_payload(catalog), msg.id)
           .ok();
     }
 
     case MessageType::kPing: {
-      return conn->send(static_cast<std::uint16_t>(MessageType::kPong), {}).ok();
+      return conn->send(static_cast<std::uint16_t>(MessageType::kPong), {}, msg.id).ok();
     }
 
     case MessageType::kAgentStatsRequest: {
       return conn->send(static_cast<std::uint16_t>(MessageType::kAgentStatsReply),
-                        encode_payload(stats()))
+                        encode_payload(stats()), msg.id)
           .ok();
     }
 
@@ -341,7 +335,7 @@ bool Agent::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) 
       dump.snapshot = metrics::Registry::instance().snapshot(
           query.ok() ? query.value().prefix : std::string{});
       return conn->send(static_cast<std::uint16_t>(MessageType::kMetricsDump),
-                               encode_payload(dump))
+                               encode_payload(dump), msg.id)
           .ok();
     }
 
@@ -360,7 +354,7 @@ bool Agent::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) 
       proto::SyncState state;
       state.entries = registry_.snapshot_for_sync();
       return conn->send(static_cast<std::uint16_t>(MessageType::kSyncState),
-                               encode_payload(state))
+                               encode_payload(state), msg.id)
           .ok();
     }
 
@@ -374,7 +368,7 @@ bool Agent::handle_message(const net::ReactorConnPtr& conn, net::Message&& msg) 
     }
 
     default:
-      (void)send_error(conn, ErrorCode::kProtocol,
+      (void)send_error(conn, msg.id, ErrorCode::kProtocol,
                        "unexpected message type " + std::to_string(msg.type));
       return false;
   }

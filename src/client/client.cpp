@@ -23,33 +23,6 @@ serial::Bytes encode_payload(const auto& msg) {
   return enc.take();
 }
 
-Result<net::Message> round_trip(const net::Endpoint& peer, std::uint16_t type,
-                                const serial::Bytes& payload, double timeout,
-                                const net::LinkShape& shape = net::LinkShape::unshaped(),
-                                double connect_timeout = 5.0, bool pooled = true) {
-  if (pooled) {
-    return net::pool_round_trip(peer, type, payload, timeout,
-                                std::min(timeout, connect_timeout), shape);
-  }
-  auto conn = net::TcpConnection::connect(peer, std::min(timeout, connect_timeout));
-  if (!conn.ok()) return conn.error();
-  NS_RETURN_IF_ERROR(net::send_message(conn.value(), type, payload, shape));
-  return net::recv_message(conn.value(), timeout);
-}
-
-/// Fire-and-forget message (failure/metrics reports — the receiver never
-/// replies on these exchanges, so a pooled connection stays clean).
-void post(const net::Endpoint& peer, std::uint16_t type, const serial::Bytes& payload,
-          bool pooled = true) {
-  if (pooled) {
-    (void)net::pool_post(peer, type, payload, /*dial_timeout_s=*/1.0);
-    return;
-  }
-  auto conn = net::TcpConnection::connect(peer, 1.0);
-  if (!conn.ok()) return;
-  (void)net::send_message(conn.value(), type, payload);
-}
-
 Error decode_error_reply(const net::Message& msg) {
   serial::Decoder dec(msg.payload);
   auto reply = proto::ErrorReply::decode(dec);
@@ -108,9 +81,8 @@ Result<net::Message> NetSolveClient::agent_round_trip(std::uint16_t type,
   Error last_error = make_error(ErrorCode::kAgentUnavailable, "no agent reachable");
   bool failed_over = false;
   for (const std::size_t index : agent_order()) {
-    auto reply = round_trip(config_.agents[index], type, payload, timeout,
-                            net::LinkShape::unshaped(), config_.agent_connect_timeout_s,
-                            config_.pooled_transport);
+    auto reply = net::call(config_.agents[index], type, payload, timeout,
+                           std::min(timeout, config_.agent_connect_timeout_s));
     if (reply.ok()) {
       // Any reply — even an ErrorReply — means the agent is up.
       note_agent_result(index, true);
@@ -136,7 +108,8 @@ void NetSolveClient::post_to_agent(std::uint16_t type, const serial::Bytes& payl
     std::lock_guard<std::mutex> lock(agents_mu_);
     if (agent_health_[index].down_until > now_seconds()) return;  // everyone is down
   }
-  post(config_.agents[index], type, payload, config_.pooled_transport);
+  // Reports are advice: the agent never answers them.
+  (void)net::post(config_.agents[index], type, payload, /*dial_timeout_s=*/1.0);
 }
 
 Result<proto::ServerList> NetSolveClient::query_metadata(const std::string& problem,
@@ -207,38 +180,22 @@ Result<proto::SolveResult> NetSolveClient::attempt(const proto::ServerCandidate&
   const double timeout = request.deadline_s > 0.0
                              ? std::min(config_.io_timeout_s, request.deadline_s)
                              : config_.io_timeout_s;
-  Result<net::Message> reply = make_error(ErrorCode::kInternal, "no attempt transport");
-  if (config_.pooled_transport) {
-    // Pipelined path: every attempt against this server shares one socket;
-    // the reply is demultiplexed by request id, so concurrent netsl_nb calls
-    // and hedges interleave instead of dialing a connection each.
-    auto channel =
-        net::ConnectionPool::instance().channel(candidate.endpoint, std::min(2.0, timeout));
-    if (!channel.ok()) return channel.error();
-    reply = channel.value()->call(static_cast<std::uint16_t>(MessageType::kSolveRequest),
-                                  encode_payload(request),
-                                  static_cast<std::uint16_t>(MessageType::kSolveResult),
-                                  request.request_id, timeout, config_.link);
-  } else {
-    auto conn = net::TcpConnection::connect(candidate.endpoint, std::min(2.0, timeout));
-    if (!conn.ok()) return conn.error();
-    NS_RETURN_IF_ERROR(net::send_message(
-        conn.value(), static_cast<std::uint16_t>(MessageType::kSolveRequest),
-        encode_payload(request), config_.link));
-    reply = net::recv_message(conn.value(), timeout);
-  }
+  // Attempts against this server share its pooled channels, so concurrent
+  // netsl_nb calls and hedges reuse a few warm sockets instead of dialing
+  // a connection each.
+  auto reply = net::call(candidate.endpoint,
+                         static_cast<std::uint16_t>(MessageType::kSolveRequest),
+                         encode_payload(request), timeout, std::min(2.0, timeout), config_.link);
   if (!reply.ok()) return reply.error();
   if (io_seconds != nullptr) *io_seconds = watch.elapsed();
   if (reply.value().type != static_cast<std::uint16_t>(MessageType::kSolveResult)) {
     return make_error(ErrorCode::kProtocol, "expected SolveResult from server");
   }
+  // The frame id already matched this reply to this request, so a result
+  // whose request_id is 0 (the server failed to decode the request) still
+  // belongs here and carries the server's retryable error.
   serial::Decoder dec(reply.value().payload);
-  auto result = proto::SolveResult::decode(dec);
-  if (!result.ok()) return result.error();
-  if (result.value().request_id != request.request_id) {
-    return make_error(ErrorCode::kProtocol, "response id mismatch");
-  }
-  return result;
+  return proto::SolveResult::decode(dec);
 }
 
 void NetSolveClient::report_failure(proto::ServerId id, ErrorCode code) {
@@ -276,26 +233,13 @@ double NetSolveClient::hedge_delay_for(const std::string& problem) const {
 
 void NetSolveClient::post_cancel_async(const net::Endpoint& peer, std::uint64_t request_id) {
   begin_background();
-  const bool pooled = config_.pooled_transport;
-  std::thread([this, peer, request_id, pooled] {
+  std::thread([this, peer, request_id] {
     proto::CancelRequest cancel;
     cancel.request_id = request_id;
-    if (pooled) {
-      // The server acks every CANCEL, so fire-and-forget over a pooled lease
-      // would leave the ack in the stream for the next leaseholder. Ride the
-      // mux channel instead: the ack demultiplexes by request id, and this
-      // thread exists precisely so waiting costs the caller nothing.
-      auto channel = net::ConnectionPool::instance().channel(peer, /*dial_timeout_s=*/1.0);
-      if (channel.ok()) {
-        (void)channel.value()->call(
-            static_cast<std::uint16_t>(MessageType::kCancelRequest), encode_payload(cancel),
-            static_cast<std::uint16_t>(MessageType::kCancelAck), request_id,
-            /*timeout_s=*/2.0);
-      }
-    } else {
-      post(peer, static_cast<std::uint16_t>(MessageType::kCancelRequest),
-           encode_payload(cancel), /*pooled=*/false);
-    }
+    // The server acks every CANCEL. This thread exists precisely so that
+    // waiting for the ack costs the winning caller nothing.
+    (void)net::call(peer, static_cast<std::uint16_t>(MessageType::kCancelRequest),
+                    encode_payload(cancel), /*timeout_s=*/2.0, /*dial_timeout_s=*/1.0);
     end_background();  // last touch of the client
   }).detach();
 }
@@ -553,10 +497,9 @@ Result<std::vector<dsl::DataObject>> NetSolveClient::netsl(
             proto::CheckpointFetch fetch;
             fetch.request_id = request.request_id;
             fetch.adopt = true;
-            auto reply = round_trip(
+            auto reply = net::call(
                 peer.endpoint, static_cast<std::uint16_t>(MessageType::kCheckpointFetch),
-                encode_payload(fetch), /*timeout=*/2.0, net::LinkShape::unshaped(),
-                /*connect_timeout=*/2.0, config_.pooled_transport);
+                encode_payload(fetch), /*timeout_s=*/2.0, /*dial_timeout_s=*/2.0);
             if (!reply.ok() ||
                 reply.value().type !=
                     static_cast<std::uint16_t>(MessageType::kCheckpointFetchReply)) {
@@ -862,8 +805,8 @@ Result<metrics::Snapshot> scrape_metrics(const net::Endpoint& peer, double timeo
                                          const std::string& prefix) {
   proto::MetricsQuery query;
   query.prefix = prefix;
-  auto reply = round_trip(peer, static_cast<std::uint16_t>(MessageType::kMetricsQuery),
-                          encode_payload(query), timeout_s);
+  auto reply = net::call(peer, static_cast<std::uint16_t>(MessageType::kMetricsQuery),
+                         encode_payload(query), timeout_s, std::min(timeout_s, 5.0));
   if (!reply.ok()) return reply.error();
   if (reply.value().type == static_cast<std::uint16_t>(MessageType::kErrorReply)) {
     return decode_error_reply(reply.value());
@@ -881,8 +824,8 @@ Result<proto::CancelAck> cancel_request(const net::Endpoint& peer, std::uint64_t
                                         double timeout_s) {
   proto::CancelRequest cancel;
   cancel.request_id = request_id;
-  auto reply = round_trip(peer, static_cast<std::uint16_t>(MessageType::kCancelRequest),
-                          encode_payload(cancel), timeout_s);
+  auto reply = net::call(peer, static_cast<std::uint16_t>(MessageType::kCancelRequest),
+                         encode_payload(cancel), timeout_s, std::min(timeout_s, 5.0));
   if (!reply.ok()) return reply.error();
   if (reply.value().type != static_cast<std::uint16_t>(MessageType::kCancelAck)) {
     return make_error(ErrorCode::kProtocol, "expected CancelAck");
@@ -895,8 +838,8 @@ Result<proto::DrainAck> drain_server(const net::Endpoint& peer, double deadline_
                                      double timeout_s) {
   proto::DrainRequest drain;
   drain.deadline_s = deadline_s;
-  auto reply = round_trip(peer, static_cast<std::uint16_t>(MessageType::kDrainRequest),
-                          encode_payload(drain), timeout_s);
+  auto reply = net::call(peer, static_cast<std::uint16_t>(MessageType::kDrainRequest),
+                         encode_payload(drain), timeout_s, std::min(timeout_s, 5.0));
   if (!reply.ok()) return reply.error();
   if (reply.value().type != static_cast<std::uint16_t>(MessageType::kDrainAck)) {
     return make_error(ErrorCode::kProtocol, "expected DrainAck");
@@ -910,8 +853,8 @@ Result<proto::ProbeReply> probe_request(const net::Endpoint& peer, std::uint64_t
   proto::ProbeRequest probe;
   probe.request_id = request_id;
   probe.fetch_result = fetch_result;
-  auto reply = round_trip(peer, static_cast<std::uint16_t>(MessageType::kProbeRequest),
-                          encode_payload(probe), timeout_s);
+  auto reply = net::call(peer, static_cast<std::uint16_t>(MessageType::kProbeRequest),
+                         encode_payload(probe), timeout_s, std::min(timeout_s, 5.0));
   if (!reply.ok()) return reply.error();
   if (reply.value().type != static_cast<std::uint16_t>(MessageType::kProbeReply)) {
     return make_error(ErrorCode::kProtocol, "expected ProbeReply");

@@ -100,10 +100,11 @@ std::optional<FaultMode> FaultInjector::on_send(const Endpoint& link, std::uint1
   // Connect-only modes never fire on an established stream.
   if (*fault == FaultMode::kConnectRefused) return std::nullopt;
   if (*fault == FaultMode::kCorrupt && size >= serial::kHeaderSize) {
-    // Flip bytes only in the CRC-protected span (payload); damaging the
-    // header would surface as a framing error instead of the corruption
-    // path under test. The CRC field itself (header bytes 12..15) is fair
-    // game too — a wrong CRC is indistinguishable from a wrong payload.
+    // Flip bytes only in the CRC-protected span (id and payload); damaging
+    // the magic, version or length would surface as a framing error instead
+    // of the corruption path under test. The CRC field itself (header bytes
+    // 12..15) is fair game too — a wrong CRC is indistinguishable from a
+    // wrong payload.
     for (int flip = 0; flip < it->second.plan.corrupt_flips; ++flip) {
       const auto at = static_cast<std::size_t>(it->second.rng.uniform_int(
           12, static_cast<std::int64_t>(size) - 1));

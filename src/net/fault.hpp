@@ -11,7 +11,9 @@
 // process-global FaultInjector. The transport consults the injector at two
 // choke points:
 //
-//   TcpConnection::connect()  -- kConnectRefused / kPartition fail the dial
+//   ConnectionPool::channel() -- kConnectRefused / kPartition fail the dial,
+//                                even on a warm channel (TcpConnection::
+//                                connect() checks the same way)
 //   net::send_message()       -- kReset / kStall / kCorrupt / kPartition act
 //                                on one outgoing frame
 //
@@ -103,7 +105,8 @@ class FaultInjector {
 
   // ---- transport hooks ----
 
-  /// Called by TcpConnection::connect. Non-OK aborts the dial.
+  /// Called by ConnectionPool::channel and TcpConnection::connect. Non-OK
+  /// aborts the dial.
   Status on_connect(const Endpoint& peer);
 
   /// Called by send_message with the framed bytes about to be written.

@@ -4,27 +4,13 @@
 #include <sys/socket.h>
 
 #include <algorithm>
-#include <cstdlib>
 
-#include "common/clock.hpp"
-#include "common/memgov.hpp"
 #include "common/metrics.hpp"
 #include "net/fault.hpp"
-#include "serial/frame.hpp"
 
 namespace ns::net {
 
 namespace {
-
-/// Reply frames that can be demultiplexed carry the request id as their
-/// first encoded field (u64 little-endian) — SolveResult, CancelAck,
-/// ProbeReply and TransferAck all do.
-std::uint64_t peek_request_id(const serial::Bytes& payload) {
-  if (payload.size() < 8) return 0;
-  std::uint64_t id = 0;
-  for (std::size_t i = 0; i < 8; ++i) id |= static_cast<std::uint64_t>(payload[i]) << (8 * i);
-  return id;
-}
 
 /// Mid-frame silence longer than this poisons a channel. Legitimate gaps
 /// inside one frame are pacing gaps (≤ 64 KiB / bandwidth, milliseconds on
@@ -33,78 +19,16 @@ std::uint64_t peek_request_id(const serial::Bytes& payload) {
 /// silence, and one second bounds how long it can poison a shared channel.
 constexpr double kMidFrameProgressTimeout = 1.0;
 
-/// A cached idle connection is reusable only if it is silent and open: a
-/// pending EOF means the peer's idle sweep closed it while it sat in the
-/// pool, and pending *bytes* mean a previous leaseholder left part of a
-/// reply in flight (it should have been discarded, but a racing late frame
-/// can still land after release). Either way, reuse would hand the next
-/// caller a broken stream — drop it.
-bool idle_conn_usable(const TcpConnection& conn) {
-  std::uint8_t byte = 0;
-  const ssize_t n = ::recv(conn.native_handle(), &byte, 1, MSG_PEEK | MSG_DONTWAIT);
-  if (n == 0) return false;                                  // peer closed
-  if (n > 0) return false;                                   // stray bytes
-  return errno == EAGAIN || errno == EWOULDBLOCK;            // silent + open
-}
-
 }  // namespace
-
-// ---- PooledConn ----
-
-PooledConn::~PooledConn() { discard(); }
-
-PooledConn& PooledConn::operator=(PooledConn&& other) noexcept {
-  if (this != &other) {
-    discard();
-    pool_ = std::exchange(other.pool_, nullptr);
-    conn_ = std::move(other.conn_);
-    key_ = std::move(other.key_);
-    reused_ = other.reused_;
-  }
-  return *this;
-}
-
-void PooledConn::release() {
-  if (pool_ != nullptr && conn_.valid()) {
-    pool_->give_back(key_, std::move(conn_));
-  }
-  pool_ = nullptr;
-  conn_.close();
-}
-
-void PooledConn::discard() {
-  if (pool_ != nullptr && conn_.valid()) {
-    metrics::counter("net.pool.discarded_total").inc();
-  }
-  pool_ = nullptr;
-  conn_.close();
-}
 
 // ---- ConnectionPool ----
 
 ConnectionPool& ConnectionPool::instance() {
-  // The pool object is deliberately leaked (threads of leaked channels may
-  // outlive static destructors), but its *contents* are reaped at exit:
-  // destroying the channels joins their reader threads, so a process that
-  // never redialed a poisoned endpoint doesn't exit with unjoined threads.
+  // Deliberately leaked: detached client threads (dropped netsl_nb handles,
+  // losing hedges) may still call through the pool while static destructors
+  // run.
   static ConnectionPool* pool = new ConnectionPool();
-  static const int reap_at_exit = std::atexit([] { instance().clear(); });
-  (void)reap_at_exit;
   return *pool;
-}
-
-void ConnectionPool::configure(const PoolConfig& config) {
-  std::lock_guard lock(mu_);
-  config_ = config;
-  if (!config_.enabled) {
-    idle_.clear();
-    channels_.clear();
-  }
-}
-
-PoolConfig ConnectionPool::config() const {
-  std::lock_guard lock(mu_);
-  return config_;
 }
 
 Status ConnectionPool::check_busy_window(const std::string& key) {
@@ -129,312 +53,264 @@ void ConnectionPool::note_busy(const Endpoint& remote, double retry_after_s) {
   until = std::max(until, now_seconds() + std::max(0.0, retry_after_s));
 }
 
-Result<PooledConn> ConnectionPool::lease(const Endpoint& remote, double dial_timeout_s) {
+Result<MuxChannelPtr> ConnectionPool::channel(const Endpoint& remote, double dial_timeout_s) {
   // The pool is a dial cache: an armed connect fault fires whether or not a
-  // warm connection exists, so chaos scripts see identical failure surfaces.
+  // warm channel exists, so chaos scripts see identical failure surfaces.
   if (FaultInjector::instance().armed()) {
     NS_RETURN_IF_ERROR(FaultInjector::instance().on_connect(remote));
   }
-
   const std::string key = remote.to_string();
   NS_RETURN_IF_ERROR(check_busy_window(key));
   {
     std::lock_guard lock(mu_);
-    if (config_.enabled) {
-      auto it = idle_.find(key);
-      if (it != idle_.end()) {
-        const double now = now_seconds();
-        auto& dq = it->second;
-        while (!dq.empty()) {
-          IdleConn cand = std::move(dq.front());
-          dq.pop_front();
-          if (now - cand.since > config_.idle_timeout_s) continue;  // stale, drop
-          if (!idle_conn_usable(cand.conn)) continue;  // peer closed / dirty stream
-          PooledConn lease;
-          lease.pool_ = this;
-          lease.conn_ = std::move(cand.conn);
-          lease.key_ = key;
-          lease.reused_ = true;
-          metrics::counter("net.pool.hits_total").inc();
-          return lease;
-        }
-        idle_.erase(it);
+    auto& cached = channels_[key];
+    MuxChannelPtr least;
+    std::size_t least_load = 0;
+    for (auto it = cached.begin(); it != cached.end();) {
+      const auto load = (*it)->load_if_reusable();
+      if (!load) {
+        it = cached.erase(it);  // poisoned, retired or stale: never handed out
+        metrics::counter("net.mux.evicted_total").inc();
+        continue;
       }
+      if (*load == 0) {
+        metrics::counter("net.pool.hits_total").inc();
+        return *it;
+      }
+      if (!least || *load < least_load) {
+        least = *it;
+        least_load = *load;
+      }
+      ++it;
+    }
+    if (cached.size() >= kChannelsPerEndpoint) {
+      metrics::counter("net.pool.hits_total").inc();
+      return least;
     }
   }
-
   metrics::counter("net.pool.misses_total").inc();
   // on_connect already consulted above; dial raw (connect() would roll the
   // fault a second time for one logical dial).
   auto conn = TcpConnection::connect_raw(remote, dial_timeout_s);
   if (!conn.ok()) return conn.error();
-  PooledConn lease;
-  lease.pool_ = this;
-  lease.conn_ = std::move(conn.value());
-  lease.key_ = key;
-  lease.reused_ = false;
-  return lease;
-}
-
-void ConnectionPool::give_back(const std::string& key, TcpConnection conn) {
-  std::lock_guard lock(mu_);
-  if (!config_.enabled) return;
-  auto& dq = idle_[key];
-  const double now = now_seconds();
-  while (!dq.empty() && (dq.size() >= config_.max_idle_per_endpoint ||
-                         now - dq.front().since > config_.idle_timeout_s)) {
-    dq.pop_front();
-  }
-  if (dq.size() >= config_.max_idle_per_endpoint) return;
-  dq.push_back(IdleConn{std::move(conn), now});
-}
-
-Result<MuxChannelPtr> ConnectionPool::channel(const Endpoint& remote, double dial_timeout_s) {
-  if (FaultInjector::instance().armed()) {
-    NS_RETURN_IF_ERROR(FaultInjector::instance().on_connect(remote));
-  }
-  const std::string key = remote.to_string();
-  NS_RETURN_IF_ERROR(check_busy_window(key));
-  bool pooling = true;
-  {
-    std::lock_guard lock(mu_);
-    pooling = config_.enabled;
-    if (pooling) {
-      auto it = channels_.find(key);
-      if (it != channels_.end()) {
-        if (it->second->healthy()) return it->second;
-        channels_.erase(it);  // poisoned: evict, redial below
-        metrics::counter("net.mux.evicted_total").inc();
-      }
-    }
-  }
-  auto conn = TcpConnection::connect_raw(remote, dial_timeout_s);
-  if (!conn.ok()) return conn.error();
   auto channel = MuxChannelPtr(new MuxChannel(std::move(conn.value()), remote));
-  if (pooling) {
-    std::lock_guard lock(mu_);
-    auto it = channels_.find(key);
-    if (it != channels_.end() && it->second->healthy()) return it->second;
-    channels_[key] = channel;
-  }
+  std::lock_guard lock(mu_);
+  // Racing dials may overshoot the cap; the extra channel serves its caller
+  // and closes when dropped.
+  auto& cached = channels_[key];
+  if (cached.size() < kChannelsPerEndpoint) cached.push_back(channel);
   return channel;
 }
 
 void ConnectionPool::evict(const Endpoint& remote) {
   std::lock_guard lock(mu_);
-  idle_.erase(remote.to_string());
   channels_.erase(remote.to_string());
   busy_until_.erase(remote.to_string());
 }
 
 void ConnectionPool::clear() {
   std::lock_guard lock(mu_);
-  idle_.clear();
   channels_.clear();
   busy_until_.clear();
-}
-
-std::size_t ConnectionPool::idle_count() const {
-  std::lock_guard lock(mu_);
-  std::size_t n = 0;
-  for (const auto& [key, dq] : idle_) n += dq.size();
-  return n;
 }
 
 // ---- MuxChannel ----
 
 MuxChannel::MuxChannel(TcpConnection conn, Endpoint remote)
-    : conn_(std::move(conn)), remote_(std::move(remote)) {
-  reader_ = std::thread([this] { reader_loop(); });
-}
-
-MuxChannel::~MuxChannel() {
-  {
-    std::lock_guard lock(mu_);
-    dead_ = true;
-  }
-  conn_.shutdown_both();
-  if (reader_.joinable()) reader_.join();
-}
+    : conn_(std::move(conn)), remote_(std::move(remote)), last_used_(now_seconds()) {}
 
 bool MuxChannel::healthy() const {
   std::lock_guard lock(mu_);
-  return !dead_;
+  return !dead_ && !retired_;
+}
+
+std::optional<std::size_t> MuxChannel::load_if_reusable() {
+  std::lock_guard lock(mu_);
+  if (dead_ || retired_) return std::nullopt;
+  if (reading_ || !waiters_.empty()) {
+    return std::max<std::size_t>(waiters_.size(), 1);  // calls in flight: live
+  }
+  if (!reader_.mid_frame() && now_seconds() - last_used_ <= kChannelIdleLimit) {
+    // Silent and open is the only reusable idle state. A pending EOF means
+    // the peer closed the socket (restart, idle sweep, LRU eviction);
+    // pending bytes are a reply nobody waits for any more.
+    std::uint8_t byte = 0;
+    const ssize_t n = ::recv(conn_.native_handle(), &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return 0;
+  }
+  retired_ = true;
+  return std::nullopt;
 }
 
 void MuxChannel::poison(const Error& why) {
-  {
-    std::lock_guard lock(mu_);
-    if (dead_) return;
-    dead_ = true;
-    death_ = why;
-  }
-  // Wake the reader (and fail its current read) without freeing the fd: a
-  // concurrent reader must never race a recycled descriptor number.
+  std::lock_guard lock(mu_);
+  poison_locked(why);
+}
+
+void MuxChannel::poison_locked(const Error& why) {
+  if (dead_) return;
+  dead_ = true;
+  death_ = why;
+  // Wake a caller blocked reading without freeing the fd: the descriptor
+  // number must never be recycled under it (the destructor closes it).
   conn_.shutdown_both();
-  cv_.notify_all();
+  for (const auto& [id, waiter] : waiters_) waiter->cv.notify_one();
   metrics::counter("net.mux.poisoned_total").inc();
 }
 
-Result<Message> MuxChannel::call(std::uint16_t request_type, const serial::Bytes& payload,
-                                 std::uint16_t reply_type, std::uint64_t request_id,
-                                 double timeout_s, const LinkShape& shape) {
-  Waiter waiter;
-  const auto key = std::make_pair(request_id, reply_type);
-  {
-    std::lock_guard lock(mu_);
-    if (dead_) return death_;
-    waiters_[key] = &waiter;
-  }
-
+Status MuxChannel::send(std::uint16_t type, const serial::Bytes& payload, std::uint64_t id,
+                        const LinkShape& shape) {
+  bool stalled = false;
   Status sent = ok_status();
   {
     // Serialize senders: frames must hit the stream whole. Fault plans and
     // shaping apply exactly as on a dedicated connection.
     std::lock_guard lock(send_mu_);
-    sent = send_message(conn_, request_type, payload, shape);
+    sent = send_message(conn_, type, payload, shape, id, &stalled);
   }
   if (!sent.ok()) {
-    {
-      std::lock_guard lock(mu_);
-      waiters_.erase(key);
-    }
     // A send-side failure (injected reset, peer gone) leaves the stream in
     // an unknown state: poison so every sharer redials.
     poison(sent.error());
-    return sent.error();
+  } else if (stalled) {
+    // Half a frame is in the stream; any frame sent after it would be
+    // misread by the peer. Calls in flight may still get their replies.
+    std::lock_guard lock(mu_);
+    retired_ = true;
   }
-
-  std::unique_lock lock(mu_);
-  const bool got = cv_.wait_for(lock, std::chrono::duration<double>(timeout_s),
-                                [&] { return waiter.done || dead_; });
-  if (waiter.done) return std::move(waiter.reply);
-  waiters_.erase(key);
-  if (dead_) return death_;
-  // Timed out: the reply may still arrive; the reader will read and discard
-  // it whole, so the stream stays framed and the channel stays usable.
-  (void)got;
-  return make_error(ErrorCode::kTimeout, "mux call timed out");
+  return sent;
 }
 
-void MuxChannel::reader_loop() {
-  for (;;) {
-    {
-      std::lock_guard lock(mu_);
-      if (dead_) return;
-    }
-    auto readable = conn_.wait_readable(0.25);
-    if (!readable.ok()) {
-      if (readable.error().code == ErrorCode::kTimeout) continue;
-      poison(make_error(ErrorCode::kConnectionClosed, "mux channel closed"));
-      return;
-    }
-    // A frame has started: finish it with a progress-bounded read. The
-    // overall frame may take arbitrarily long on a paced link; only
-    // *silence* mid-frame is fatal.
-    std::uint8_t header_bytes[serial::kHeaderSize];
-    auto hdr_read = conn_.recv_all(header_bytes, sizeof(header_bytes),
-                                   kMidFrameProgressTimeout);
-    if (!hdr_read.ok()) {
-      poison(hdr_read.error());
-      return;
-    }
-    auto header = serial::decode_header(header_bytes);
-    if (!header.ok()) {
-      poison(header.error());
-      return;
-    }
-    if (header.value().length > ConnectionPool::instance().config().max_frame_bytes) {
-      // Client-role frame cap: a shared mux socket buffers replies for many
-      // concurrent callers, so one hostile length claim would charge them
-      // all. Reject before allocating and poison — the oversized body is
-      // still in the stream, so the channel cannot be re-framed.
-      metrics::counter("net.guard.oversized_total").inc();
-      poison(make_error(ErrorCode::kProtocol, "frame exceeds client payload cap"));
-      return;
-    }
-    Message msg;
-    msg.type = header.value().type;
-    try {
-      mem::alloc_trip("net.mux_read");
-      msg.payload.resize(header.value().length);
-    } catch (const std::bad_alloc&) {
-      // Allocation pressure is retryable overload, not peer failure: pending
-      // callers back off and redial instead of tearing the process down.
-      metrics::counter("mem.bad_alloc_total").inc();
-      poison(make_error(ErrorCode::kServerOverloaded,
-                        "allocation failed buffering mux frame"));
-      return;
-    }
-    std::size_t got = 0;
-    while (got < msg.payload.size()) {
-      const std::size_t chunk = std::min<std::size_t>(64 * 1024, msg.payload.size() - got);
-      auto body_read = conn_.recv_all(msg.payload.data() + got, chunk,
-                                      kMidFrameProgressTimeout);
-      if (!body_read.ok()) {
-        poison(body_read.error());
-        return;
-      }
-      got += chunk;
-    }
-    if (auto crc = serial::check_payload(header.value(), msg.payload); !crc.ok()) {
-      poison(crc.error());
-      return;
-    }
+Status MuxChannel::post(std::uint16_t type, const serial::Bytes& payload) {
+  {
+    std::lock_guard lock(mu_);
+    if (dead_) return death_;
+    if (retired_) return make_error(ErrorCode::kConnectionClosed, "mux channel retired");
+    last_used_ = now_seconds();
+  }
+  return send(type, payload, /*id=*/0, LinkShape::unshaped());
+}
 
-    if (msg.type == kTransportBusyType) {
+Result<Message> MuxChannel::call(std::uint16_t type, const serial::Bytes& payload,
+                                 double timeout_s, const LinkShape& shape) {
+  const Deadline deadline(timeout_s);
+  Waiter self;
+  std::uint64_t id = 0;
+  {
+    std::lock_guard lock(mu_);
+    if (dead_) return death_;
+    if (retired_) return make_error(ErrorCode::kConnectionClosed, "mux channel retired");
+    id = next_id_++;
+    waiters_.emplace(id, &self);
+    last_used_ = now_seconds();
+  }
+  const Status sent = send(type, payload, id, shape);
+
+  std::unique_lock lock(mu_);
+  if (!sent.ok()) {
+    waiters_.erase(id);
+    return sent.error();
+  }
+  while (!self.done) {
+    if (dead_ || deadline.expired()) {
+      waiters_.erase(id);
+      last_used_ = now_seconds();
+      if (dead_) return death_;
+      wake_next_reader_locked();  // a hand-off may have been aimed at us
+      return make_error(ErrorCode::kTimeout, "mux call timed out");
+    }
+    if (reading_) {
+      // Another caller is reading; it hands over our reply or the role.
+      self.blocked = true;
+      self.cv.wait_for(lock, std::chrono::duration<double>(deadline.remaining()));
+      self.blocked = false;
+      continue;
+    }
+    reading_ = true;
+    lock.unlock();
+    const Status read = read_until(self, deadline);
+    lock.lock();
+    reading_ = false;
+    if (!read.ok()) {
+      poison_locked(read.error());
+      continue;
+    }
+    wake_next_reader_locked();
+  }
+  last_used_ = now_seconds();
+  return std::move(self.reply);
+}
+
+void MuxChannel::wake_next_reader_locked() {
+  if (reading_) return;
+  // Only a caller asleep on its cv can take the role now. One still in
+  // send() finds the role free when it next takes mu_ and claims it itself.
+  for (const auto& [id, waiter] : waiters_) {
+    if (!waiter->blocked) continue;
+    waiter->cv.notify_one();
+    return;
+  }
+}
+
+Status MuxChannel::read_until(const Waiter& self, const Deadline& deadline) {
+  for (;;) {
+    if (!reader_.mid_frame()) {
+      const double remaining = deadline.remaining();
+      if (remaining <= 0.0) return ok_status();
+      auto readable = conn_.wait_readable(remaining);
+      if (!readable.ok()) {
+        if (readable.error().code == ErrorCode::kTimeout) return ok_status();
+        return readable.error();
+      }
+    }
+    // Read the frame, whoever it belongs to, 64 KiB at a time. A paced frame
+    // may take arbitrarily long; only silence mid-frame is fatal. Once our
+    // own deadline passes, stop at the next step and leave the rest of the
+    // frame to whoever reads next.
+    auto msg = reader_.read(conn_, kMidFrameProgressTimeout, deadline);
+    if (!msg.ok()) return msg.error();
+    if (!msg.value()) return ok_status();
+    if (msg.value()->type == kTransportBusyType) {
       // Accept-governor shed, delivered just before the peer closed on us:
       // note the busy window so redials back off, and fail every pending
       // call retryably (overload, not server failure).
       ConnectionPool::instance().note_busy(remote_,
-                                           decode_busy_retry_after(msg.payload));
-      poison(make_error(ErrorCode::kServerOverloaded, "transport busy (accept shed)"));
-      return;
+                                           decode_busy_retry_after(msg.value()->payload));
+      return make_error(ErrorCode::kServerOverloaded, "transport busy (accept shed)");
     }
-    const std::uint64_t id = peek_request_id(msg.payload);
-    std::lock_guard lock(mu_);
-    auto it = waiters_.find(std::make_pair(id, msg.type));
-    if (it != waiters_.end()) {
-      it->second->reply = std::move(msg);
-      it->second->done = true;
-      waiters_.erase(it);
-      cv_.notify_all();
-    }
-    // No waiter (deadline already expired): the frame was consumed whole and
-    // dropped — nothing leaks into the next caller's reply.
+    if (deliver(std::move(*msg.value()), &self)) return ok_status();
   }
+}
+
+bool MuxChannel::deliver(Message&& msg, const Waiter* self) {
+  std::lock_guard lock(mu_);
+  auto it = waiters_.find(msg.id);
+  // No waiter (its deadline already passed): the frame was consumed whole
+  // and is dropped — nothing leaks into the next caller's reply.
+  if (it == waiters_.end()) return false;
+  Waiter* waiter = it->second;
+  waiters_.erase(it);
+  waiter->reply = std::move(msg);
+  waiter->done = true;
+  if (waiter == self) return true;
+  waiter->cv.notify_one();
+  return false;
 }
 
 // ---- helpers ----
 
-Result<Message> pool_round_trip(const Endpoint& remote, std::uint16_t type,
-                                const serial::Bytes& payload, double timeout_s,
-                                double dial_timeout_s, const LinkShape& shape) {
-  auto lease = ConnectionPool::instance().lease(remote, dial_timeout_s);
-  if (!lease.ok()) return lease.error();
-  NS_RETURN_IF_ERROR(send_message(lease.value().conn(), type, payload, shape));
-  auto reply = recv_message(lease.value().conn(), timeout_s,
-                            ConnectionPool::instance().config().max_frame_bytes);
-  if (!reply.ok()) return reply.error();  // lease destructor discards
-  if (reply.value().type == kTransportBusyType) {
-    // The peer's accept governor shed this dial. Honor the retry-after as a
-    // busy window (subsequent dials fail fast instead of re-shedding) and
-    // surface a retryable overload to the caller's backoff loop.
-    ConnectionPool::instance().note_busy(
-        remote, decode_busy_retry_after(reply.value().payload));
-    return make_error(ErrorCode::kServerOverloaded, "transport busy (accept shed)");
-  }
-  lease.value().release();
-  return reply;
+Result<Message> call(const Endpoint& remote, std::uint16_t type, const serial::Bytes& payload,
+                     double timeout_s, double dial_timeout_s, const LinkShape& shape) {
+  auto channel = ConnectionPool::instance().channel(remote, dial_timeout_s);
+  if (!channel.ok()) return channel.error();
+  return channel.value()->call(type, payload, timeout_s, shape);
 }
 
-Status pool_post(const Endpoint& remote, std::uint16_t type, const serial::Bytes& payload,
-                 double dial_timeout_s, const LinkShape& shape) {
-  auto lease = ConnectionPool::instance().lease(remote, dial_timeout_s);
-  if (!lease.ok()) return lease.error();
-  NS_RETURN_IF_ERROR(send_message(lease.value().conn(), type, payload, shape));
-  lease.value().release();
-  return ok_status();
+Status post(const Endpoint& remote, std::uint16_t type, const serial::Bytes& payload,
+            double dial_timeout_s) {
+  auto channel = ConnectionPool::instance().channel(remote, dial_timeout_s);
+  if (!channel.ok()) return channel.error();
+  return channel.value()->post(type, payload);
 }
 
 }  // namespace ns::net

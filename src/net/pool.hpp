@@ -1,49 +1,65 @@
-// Client-side connection reuse: a keep-alive pool and a pipelining channel.
+// Client-side transport: a few shared, pipelining channels per endpoint.
 //
-// Before this layer every call in the system — netsl solves, agent queries,
-// workload reports, federation syncs — dialed a fresh TCP connection and
-// tore it down after one round trip. The pool removes that per-call setup:
+// Every outbound exchange in the system — netsl solves and cancels, agent
+// queries and reports, server registrations, workload reports, agent pings,
+// federation syncs, checkpoint replication and job migration — rides a
+// MuxChannel that the process-global ConnectionPool keeps for the endpoint:
 //
-//   ConnectionPool::lease()    exclusive keep-alive connection for classic
-//                              one-request/one-reply exchanges (agent
-//                              queries, reports, metrics scrapes). Dial on
-//                              miss, idle timeout, strict drain-or-discard:
-//                              a connection is only returned for reuse after
-//                              a *complete* successful round trip. Any
-//                              failure — including a reply racing a deadline
-//                              expiry, which leaves half a frame in flight —
-//                              discards the connection instead of leaking
-//                              the stale bytes to the next leaseholder.
+//   ConnectionPool::channel()  a cached channel, dialed on miss. An idle
+//                              channel (no call in flight) is preferred; if
+//                              every cached one is busy and fewer than
+//                              kChannelsPerEndpoint exist, a new one is
+//                              dialed, else the least-loaded is shared. So
+//                              concurrent callers mostly read their own
+//                              sockets, and beyond the cap they pipeline.
+//                              An idle channel is handed out only while it
+//                              is fresh: one idle longer than
+//                              kChannelIdleLimit (below the reactors' 10 s
+//                              idle sweep), or whose socket shows EOF or
+//                              stray bytes to an MSG_PEEK, is retired and
+//                              redialed. Otherwise a request sent into a
+//                              socket the peer already closed would fail and
+//                              be blamed on a healthy server or agent.
 //
-//   ConnectionPool::channel()  shared MuxChannel for request-id-tagged calls
-//                              (SOLVE, CANCEL, PROBE, TRANSFER). Many calls
-//                              pipeline over one socket: frames interleave
-//                              in flight and a reader thread demultiplexes
-//                              replies by the request id in the first eight
-//                              payload bytes. Non-blocking netsl_nb calls
-//                              and hedges share the socket instead of one
-//                              socket each. A transport-level error (reset,
-//                              CRC damage, mid-frame stall) poisons the
-//                              channel: every pending call fails retryably,
-//                              the channel is evicted, and the next call
-//                              redials.
+//   MuxChannel::call()         send a request frame under a fresh frame id
+//                              and wait for the reply frame carrying that id.
+//                              Concurrent calls pipeline over one socket.
+//   MuxChannel::post()         send a frame under id 0; no reply comes.
 //
-// Fault-injection parity: leases and channel dials consult
-// FaultInjector::on_connect even on a pool hit (the pool is a dial cache —
-// an armed connect fault must fire whether or not a warm connection
-// exists), and every send goes through net::send_message, so per-frame
-// fault plans and link shaping behave exactly as they did on fresh dials.
+// No thread of its own reads a channel. A waiting caller takes the read role
+// if nobody holds it, reads frames and hands each to the caller whose id it
+// carries; when its own reply arrives or its deadline passes it gives the
+// role up and wakes a caller asleep on its reply to take it over. A reader
+// whose deadline passes in the middle of someone else's frame stops at the
+// next 64 KiB step and leaves the rest of the frame to the next reader, so
+// it overruns its own deadline by at most one step (bounded by the 1 s
+// mid-frame progress limit). A reply no caller waits for any more is read
+// whole and dropped, so the stream stays framed. Client threads are
+// therefore O(1) in the number of endpoints.
+//
+// A transport-level error (reset, CRC damage, a reply that goes silent
+// mid-frame, a BUSY shed) poisons the channel: every waiter fails retryably
+// and the next channel() redials. A request whose own send stalled midway
+// retires the channel instead: calls already in flight finish, new calls
+// redial.
+//
+// Fault-injection parity: channel() consults FaultInjector::on_connect even
+// on a warm hit (the pool is a dial cache — an armed connect fault must fire
+// whether or not a warm channel exists), and every send goes through
+// net::send_message, so per-frame fault plans and link shaping behave exactly
+// as they do on fresh dials.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
+#include "common/clock.hpp"
 #include "common/error.hpp"
 #include "net/endpoint.hpp"
 #include "net/shaped_link.hpp"
@@ -52,93 +68,73 @@
 
 namespace ns::net {
 
-struct PoolConfig {
-  /// Master switch: off = every lease is a fresh dial and nothing is kept
-  /// (the pre-pool behaviour, used for A/B benching).
-  bool enabled = true;
-  /// Idle connections older than this are dropped at lease/release time.
-  /// Keep it comfortably below the server/agent reactor idle timeout (10 s)
-  /// so the client discards before the peer does.
-  double idle_timeout_s = 2.5;
-  /// Idle connections kept per endpoint beyond which release() discards.
-  std::size_t max_idle_per_endpoint = 8;
-  /// Client-role frame cap applied to every pooled reply (lease round trips
-  /// and mux reader alike) before the payload is buffered. Oversized claims
-  /// count in net.guard.oversized_total and poison/discard the connection.
-  std::size_t max_frame_bytes = kClientMaxFrameBytes;
-};
+/// A channel idle this long is retired rather than reused. Comfortably below
+/// the server and agent reactors' idle sweep, so the client drops a quiet
+/// socket before the peer does.
+inline constexpr double kChannelIdleLimit = 2.5;
 
-class ConnectionPool;
-
-/// Exclusive lease of one pooled connection (move-only RAII). Destruction
-/// without release() discards the connection — that is the drain-or-discard
-/// rule: only a caller that consumed its complete reply may hand the stream
-/// to the next leaseholder.
-class PooledConn {
- public:
-  PooledConn() = default;
-  ~PooledConn();
-  PooledConn(PooledConn&& other) noexcept { *this = std::move(other); }
-  PooledConn& operator=(PooledConn&& other) noexcept;
-  PooledConn(const PooledConn&) = delete;
-  PooledConn& operator=(const PooledConn&) = delete;
-
-  TcpConnection& conn() noexcept { return conn_; }
-  /// True if this lease came from the pool (vs a fresh dial).
-  bool reused() const noexcept { return reused_; }
-  /// Return the connection for reuse. Only call after a complete round trip.
-  void release();
-  /// Drop the connection now (bytes may be in flight; it must never be
-  /// reused). Also what the destructor does.
-  void discard();
-
- private:
-  friend class ConnectionPool;
-  ConnectionPool* pool_ = nullptr;
-  TcpConnection conn_;
-  std::string key_;
-  bool reused_ = false;
-};
+/// Channels kept per endpoint. Up to this many concurrent callers each get a
+/// socket of their own and read their replies straight off it; more share
+/// the least-loaded channel, so sockets per endpoint stay bounded.
+inline constexpr std::size_t kChannelsPerEndpoint = 4;
 
 /// One pipelined connection to one endpoint, shared by concurrent callers.
 class MuxChannel {
  public:
-  ~MuxChannel();
+  /// Send a request and wait up to `timeout_s` for the reply carrying its
+  /// frame id. On timeout the caller just deregisters; its late reply is
+  /// read and dropped whole by whoever reads next. Transport errors poison
+  /// the channel (every waiter fails; callers redial through the pool).
+  Result<Message> call(std::uint16_t type, const serial::Bytes& payload, double timeout_s,
+                       const LinkShape& shape = LinkShape::unshaped());
 
-  /// Send a request frame and wait for the reply whose (type, request_id)
-  /// matches. Concurrent calls interleave on the socket. On timeout the
-  /// waiter just deregisters — the late reply is read and discarded whole by
-  /// the reader, so the stream stays framed. Transport errors poison the
-  /// channel (all waiters fail, callers redial through the pool).
-  Result<Message> call(std::uint16_t request_type, const serial::Bytes& payload,
-                       std::uint16_t reply_type, std::uint64_t request_id,
-                       double timeout_s, const LinkShape& shape = LinkShape::unshaped());
+  /// Send a message the peer does not answer (frame id 0).
+  Status post(std::uint16_t type, const serial::Bytes& payload);
 
+  /// False once poisoned or retired: channel() will not hand it out again.
   bool healthy() const;
-  const Endpoint& remote() const noexcept { return remote_; }
 
  private:
   friend class ConnectionPool;
   MuxChannel(TcpConnection conn, Endpoint remote);
 
-  void reader_loop();
+  struct Waiter {
+    std::condition_variable cv;
+    bool done = false;
+    bool blocked = false;  // asleep on cv: only such a waiter can take over the read role
+    Message reply;
+  };
+
+  /// Frame and send one message; poisons on failure, retires on a stall.
+  Status send(std::uint16_t type, const serial::Bytes& payload, std::uint64_t id,
+              const LinkShape& shape);
+  /// Hold the read role until `self` has its reply or `deadline` passes.
+  Status read_until(const Waiter& self, const Deadline& deadline);
+  /// Hand a frame to the caller waiting on its id (or drop it). True if that
+  /// caller is `self`.
+  bool deliver(Message&& msg, const Waiter* self);
+  /// If nobody holds the read role, wake a caller asleep on its reply to
+  /// take it. A caller still sending takes the role itself afterwards.
+  void wake_next_reader_locked();
+  /// Calls in flight, or nullopt if channel() must not hand this channel out
+  /// again: poisoned, retired, or stale by the staleness rule.
+  std::optional<std::size_t> load_if_reusable();
   void poison(const Error& why);
+  void poison_locked(const Error& why);
 
   TcpConnection conn_;
   Endpoint remote_;
   std::mutex send_mu_;
-
-  struct Waiter {
-    bool done = false;
-    Message reply;
-  };
+  FrameReader reader_;  // owned by whoever holds the read role
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<std::pair<std::uint64_t, std::uint16_t>, Waiter*> waiters_;
+  std::unordered_map<std::uint64_t, Waiter*> waiters_;
+  std::uint64_t next_id_ = 1;  // 0 is reserved for posts
+  bool reading_ = false;       // some caller holds the read role
+  bool retired_ = false;
   bool dead_ = false;
   Error death_;
-  std::thread reader_;
+  double last_used_ = 0.0;
 };
 
 using MuxChannelPtr = std::shared_ptr<MuxChannel>;
@@ -149,58 +145,39 @@ class ConnectionPool {
   /// share it; endpoints keep their traffic apart).
   static ConnectionPool& instance();
 
-  void configure(const PoolConfig& config);
-  PoolConfig config() const;
-
-  /// Exclusive connection to `remote`: pooled if warm, dialed on miss.
-  Result<PooledConn> lease(const Endpoint& remote, double dial_timeout_s);
-
-  /// Shared pipelining channel to `remote`; replaces a poisoned one.
+  /// Channel to `remote`: a fresh idle one if cached, else a new dial while
+  /// fewer than kChannelsPerEndpoint are cached, else the least-loaded one.
+  /// Counts net.pool.hits_total / net.pool.misses_total.
   Result<MuxChannelPtr> channel(const Endpoint& remote, double dial_timeout_s);
 
   /// Record a transport-level BUSY from `remote`: until `retry_after_s`
-  /// elapses, lease() and channel() to it fail fast with a retryable
-  /// kServerOverloaded instead of dialing into a shedding accept governor.
+  /// elapses, channel() to it fails fast with a retryable kServerOverloaded
+  /// instead of dialing into a shedding accept governor.
   void note_busy(const Endpoint& remote, double retry_after_s);
 
-  /// Drop idle connections and channels for `remote` (or all).
+  /// Drop the channels and busy window for `remote` (or all).
   void evict(const Endpoint& remote);
   void clear();
 
-  std::size_t idle_count() const;
-
  private:
-  friend class PooledConn;
-
-  struct IdleConn {
-    TcpConnection conn;
-    double since = 0.0;
-  };
-
-  void give_back(const std::string& key, TcpConnection conn);
   /// Fails fast (retryable) while `key` is inside a noted busy window.
   Status check_busy_window(const std::string& key);
 
   mutable std::mutex mu_;
-  PoolConfig config_;
-  std::map<std::string, std::deque<IdleConn>> idle_;
-  std::map<std::string, MuxChannelPtr> channels_;
+  std::map<std::string, std::vector<MuxChannelPtr>> channels_;
   /// Endpoint -> monotonic instant until which dials fail fast (transport
   /// BUSY honoring). Cleared with evict()/clear() so a restarted test
   /// cluster is immediately reachable again.
   std::map<std::string, double> busy_until_;
 };
 
-/// One-request/one-reply over a pooled lease. Dial-on-miss, strict
-/// drain-or-discard on any failure. `expect_type` 0 accepts any reply type.
-Result<Message> pool_round_trip(const Endpoint& remote, std::uint16_t type,
-                                const serial::Bytes& payload, double timeout_s,
-                                double dial_timeout_s,
-                                const LinkShape& shape = LinkShape::unshaped());
+/// One request/reply exchange with `remote` over a pooled channel.
+Result<Message> call(const Endpoint& remote, std::uint16_t type, const serial::Bytes& payload,
+                     double timeout_s, double dial_timeout_s,
+                     const LinkShape& shape = LinkShape::unshaped());
 
-/// Fire-and-forget over a pooled lease (the peer never replies on this
-/// exchange, so the stream stays clean for the next leaseholder).
-Status pool_post(const Endpoint& remote, std::uint16_t type, const serial::Bytes& payload,
-                 double dial_timeout_s, const LinkShape& shape = LinkShape::unshaped());
+/// One message to `remote` that expects no reply, over a pooled channel.
+Status post(const Endpoint& remote, std::uint16_t type, const serial::Bytes& payload,
+            double dial_timeout_s);
 
 }  // namespace ns::net

@@ -44,7 +44,7 @@ Endpoint endpoint_from(const sockaddr_in& addr) {
 
 // ---- ReactorConn ----
 
-Status ReactorConn::send(std::uint16_t type, const serial::Bytes& payload,
+Status ReactorConn::send(std::uint16_t type, const serial::Bytes& payload, std::uint64_t id,
                          const LinkShape& shape) {
   if (closing_.load(std::memory_order_acquire)) {
     return make_error(ErrorCode::kConnectionClosed, "reactor connection closed");
@@ -55,7 +55,7 @@ Status ReactorConn::send(std::uint16_t type, const serial::Bytes& payload,
   std::optional<FaultMode> fault;
   serial::Bytes faulted_frame;
   if (FaultInjector::instance().armed()) {
-    faulted_frame = serial::build_frame(type, payload);
+    faulted_frame = serial::build_frame(type, payload, id);
     auto& injector = FaultInjector::instance();
     fault = injector.on_send(peer_, type, faulted_frame.data(), faulted_frame.size());
     if (!fault) {
@@ -110,7 +110,7 @@ Status ReactorConn::send(std::uint16_t type, const serial::Bytes& payload,
     // gathers them into one writev (scatter-gather, no frame assembly copy).
     Chunk head;
     head.data.resize(serial::kHeaderSize);
-    serial::encode_frame_header(type, payload, head.data.data());
+    serial::encode_frame_header(type, payload, id, head.data.data());
     chunks.push_back(std::move(head));
     if (!payload.empty()) {
       Chunk body;
@@ -627,6 +627,7 @@ void Reactor::drain_frames(const ReactorConnPtr& conn) {
 
     Message msg;
     msg.type = header.value().type;
+    msg.id = header.value().id;
     msg.payload.assign(buf.begin() + static_cast<std::ptrdiff_t>(consumed + serial::kHeaderSize),
                        buf.begin() + static_cast<std::ptrdiff_t>(consumed + frame_len));
     consumed += frame_len;

@@ -103,13 +103,15 @@ struct GuardConfig {
 /// handler threads (sends). Handlers may hold the pointer across blocking
 /// work and reply whenever ready — replies from concurrent handlers
 /// interleave at frame granularity, which is what makes multiple in-flight
-/// requests per connection (demuxed by request id on the client) work.
+/// requests per connection (demuxed by frame id on the client) work.
 class ReactorConn : public std::enable_shared_from_this<ReactorConn> {
  public:
-  /// Queue one framed message. Thread-safe; applies armed fault plans and
-  /// link shaping. Fails with kConnectionClosed once the connection is
-  /// closing (handlers treat that like the old synchronous send failing).
-  Status send(std::uint16_t type, const serial::Bytes& payload,
+  /// Queue one framed message. A reply passes its request's Message::id, so
+  /// the caller waiting on a shared channel receives it. Thread-safe; applies
+  /// armed fault plans and link shaping. Fails with kConnectionClosed once
+  /// the connection is closing (handlers treat that like the old synchronous
+  /// send failing).
+  Status send(std::uint16_t type, const serial::Bytes& payload, std::uint64_t id,
               const LinkShape& shape = LinkShape::unshaped());
 
   /// Close after flushing queued writes; pending reads are dropped.
@@ -183,7 +185,8 @@ struct ReactorConfig {
 
 class Reactor {
  public:
-  /// Handler for one complete, CRC-valid frame; runs on a pool thread.
+  /// Handler for one complete, CRC-valid frame; runs on a pool thread. The
+  /// message carries the frame's id for the reply to echo.
   /// Return false to close the connection (protocol violation / shutdown).
   using MessageHandler = std::function<bool(const ReactorConnPtr&, Message&&)>;
 

@@ -1,5 +1,7 @@
 #include "net/transport.hpp"
 
+#include <algorithm>
+
 #include "common/memgov.hpp"
 #include "common/metrics.hpp"
 #include "net/fault.hpp"
@@ -30,8 +32,8 @@ Result<std::optional<FaultMode>> roll_send_fault(TcpConnection& conn, std::uint1
 }  // namespace
 
 Status send_message(TcpConnection& conn, std::uint16_t type, const serial::Bytes& payload,
-                    const LinkShape& shape) {
-  serial::Bytes frame = serial::build_frame(type, payload);
+                    const LinkShape& shape, std::uint64_t id, bool* stalled) {
+  serial::Bytes frame = serial::build_frame(type, payload, id);
   if (FaultInjector::instance().armed()) {
     auto fault = roll_send_fault(conn, type, frame);
     if (!fault.ok()) return fault.error();
@@ -41,8 +43,8 @@ Status send_message(TcpConnection& conn, std::uint16_t type, const serial::Bytes
         case FaultMode::kPartition: {
           // Half a frame then a hard shutdown: the peer reads a truncated
           // stream and sees kConnectionClosed, exactly like a mid-flight RST.
-          // shutdown, not close: on a pooled mux channel a reader thread is
-          // concurrently polling this fd, and close() would free the
+          // shutdown, not close: on a shared mux channel another caller may
+          // be polling this fd for replies, and close() would free the
           // descriptor under it (the owner closes it when the channel dies).
           (void)conn.send_all(frame.data(), frame.size() / 2);
           conn.shutdown_both();
@@ -55,6 +57,7 @@ Status send_message(TcpConnection& conn, std::uint16_t type, const serial::Bytes
           // the building); the reader's recv timeout is what surfaces it.
           const std::size_t partial = frame.size() > 1 ? frame.size() / 2 : 1;
           (void)conn.send_all(frame.data(), partial);
+          if (stalled != nullptr) *stalled = true;
           return ok_status();
         }
         case FaultMode::kCorrupt:
@@ -82,34 +85,49 @@ double decode_busy_retry_after(const serial::Bytes& payload, double fallback) {
   return v.value();
 }
 
+Result<std::optional<Message>> FrameReader::read(TcpConnection& conn, double timeout_secs,
+                                                 const Deadline& stop, std::size_t max_payload) {
+  if (!mid_frame_) {
+    std::uint8_t header_bytes[serial::kHeaderSize];
+    NS_RETURN_IF_ERROR(conn.recv_all(header_bytes, sizeof(header_bytes), timeout_secs));
+    auto header = serial::decode_header(header_bytes);
+    if (!header.ok()) return header.error();
+    if (header.value().length > max_payload) {
+      // Role frame cap, mirror of the reactor's: the claim is rejected before
+      // the allocation it would cost, and the connection is unusable anyway
+      // (the oversized body would still be in the stream).
+      metrics::counter("net.guard.oversized_total").inc();
+      return make_error(ErrorCode::kProtocol, "frame exceeds client payload cap");
+    }
+    header_ = header.value();
+    msg_ = Message{header_.type, header_.id, {}};
+    try {
+      mem::alloc_trip("net.recv");
+      msg_.payload.resize(header_.length);
+    } catch (const std::bad_alloc&) {
+      metrics::counter("mem.bad_alloc_total").inc();
+      return make_error(ErrorCode::kServerOverloaded, "allocation failed buffering frame");
+    }
+    got_ = 0;
+    mid_frame_ = true;
+  }
+  while (got_ < msg_.payload.size()) {
+    if (stop.expired()) return std::optional<Message>{};
+    const std::size_t chunk = std::min<std::size_t>(64 * 1024, msg_.payload.size() - got_);
+    NS_RETURN_IF_ERROR(conn.recv_all(msg_.payload.data() + got_, chunk, timeout_secs));
+    got_ += chunk;
+  }
+  mid_frame_ = false;
+  NS_RETURN_IF_ERROR(serial::check_payload(header_, msg_.payload));
+  return std::optional<Message>(std::move(msg_));
+}
+
 Result<Message> recv_message(TcpConnection& conn, double timeout_secs,
                              std::size_t max_payload) {
-  std::uint8_t header_bytes[serial::kHeaderSize];
-  NS_RETURN_IF_ERROR(conn.recv_all(header_bytes, sizeof(header_bytes), timeout_secs));
-  auto header = serial::decode_header(header_bytes);
-  if (!header.ok()) return header.error();
-  if (header.value().length > max_payload) {
-    // Role frame cap, mirror of the reactor's: the claim is rejected before
-    // the allocation it would cost, and the connection is unusable anyway
-    // (the oversized body would still be in the stream).
-    metrics::counter("net.guard.oversized_total").inc();
-    return make_error(ErrorCode::kProtocol, "frame exceeds client payload cap");
-  }
-
-  Message msg;
-  msg.type = header.value().type;
-  try {
-    mem::alloc_trip("net.recv");
-    msg.payload.resize(header.value().length);
-  } catch (const std::bad_alloc&) {
-    metrics::counter("mem.bad_alloc_total").inc();
-    return make_error(ErrorCode::kServerOverloaded, "allocation failed buffering frame");
-  }
-  if (header.value().length > 0) {
-    NS_RETURN_IF_ERROR(conn.recv_all(msg.payload.data(), msg.payload.size(), timeout_secs));
-  }
-  NS_RETURN_IF_ERROR(serial::check_payload(header.value(), msg.payload));
-  return msg;
+  FrameReader reader;
+  auto msg = reader.read(conn, timeout_secs, Deadline::never(), max_payload);
+  if (!msg.ok()) return msg.error();
+  return std::move(*msg.value());
 }
 
 }  // namespace ns::net

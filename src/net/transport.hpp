@@ -2,7 +2,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
+#include "common/clock.hpp"
 #include "common/error.hpp"
 #include "net/shaped_link.hpp"
 #include "net/socket.hpp"
@@ -13,6 +15,8 @@ namespace ns::net {
 
 struct Message {
   std::uint16_t type = 0;
+  /// Frame correlation id: a reply echoes its request's id (0 = none).
+  std::uint64_t id = 0;
   serial::Bytes payload;
 };
 
@@ -39,13 +43,42 @@ double decode_busy_retry_after(const serial::Bytes& payload, double fallback = 0
 /// one bad header cannot take out the process.
 inline constexpr std::size_t kClientMaxFrameBytes = 256u << 20;  // 256 MiB
 
-/// Serialize `payload` under `type` and send it as one frame, shaped.
+/// Serialize `payload` under `type` and correlation `id` and send it as one
+/// frame, shaped. An injected stall writes part of the frame and still
+/// succeeds (the peer's read timeout is what surfaces it); `stalled`, when
+/// given, is set so a caller sharing the stream knows it is torn.
 Status send_message(TcpConnection& conn, std::uint16_t type, const serial::Bytes& payload,
-                    const LinkShape& shape = LinkShape::unshaped());
+                    const LinkShape& shape = LinkShape::unshaped(), std::uint64_t id = 0,
+                    bool* stalled = nullptr);
 
-/// Receive one complete frame; validates magic, version, size and CRC.
-/// Payloads over `max_payload` are rejected at header-decode time (counted
-/// in net.guard.oversized_total) before any buffering.
+/// Reads one frame in steps: the header, then 64 KiB of payload at a time.
+/// A reader may stop between steps and a later read() resumes the same
+/// frame, so callers sharing a stream can pass a half-read frame between
+/// them. Validates magic, version, size and CRC. A failed read leaves the
+/// stream unusable; the reader must not be used again.
+class FrameReader {
+ public:
+  /// Read until the frame is whole (returned) or `stop` has passed at a step
+  /// boundary (nullopt: the frame is kept for the next read()).
+  /// `timeout_secs` bounds the wait for the header and for each step, so a
+  /// long frame on a paced link completes while one that goes silent fails.
+  /// Payloads over `max_payload` are rejected at header-decode time
+  /// (counted in net.guard.oversized_total) before any buffering.
+  Result<std::optional<Message>> read(TcpConnection& conn, double timeout_secs,
+                                      const Deadline& stop,
+                                      std::size_t max_payload = kClientMaxFrameBytes);
+
+  /// True once a header has been read and until its frame is whole.
+  bool mid_frame() const noexcept { return mid_frame_; }
+
+ private:
+  bool mid_frame_ = false;
+  serial::FrameHeader header_{};
+  Message msg_;
+  std::size_t got_ = 0;
+};
+
+/// Receive one complete frame: a FrameReader run to completion.
 Result<Message> recv_message(TcpConnection& conn, double timeout_secs,
                              std::size_t max_payload = kClientMaxFrameBytes);
 

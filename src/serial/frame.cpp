@@ -7,12 +7,14 @@ namespace ns::serial {
 namespace {
 
 // CRC over everything the magic/version checks don't already pin down: the
-// type and length fields (little-endian, as on the wire) plus the payload.
-std::uint32_t frame_crc(std::uint16_t type, std::uint32_t length, const Bytes& payload) {
-  const std::uint8_t meta[6] = {
+// type, length and id fields (little-endian, as on the wire) plus the payload.
+std::uint32_t frame_crc(std::uint16_t type, std::uint32_t length, std::uint64_t id,
+                        const Bytes& payload) {
+  std::uint8_t meta[14] = {
       static_cast<std::uint8_t>(type),         static_cast<std::uint8_t>(type >> 8),
       static_cast<std::uint8_t>(length),       static_cast<std::uint8_t>(length >> 8),
       static_cast<std::uint8_t>(length >> 16), static_cast<std::uint8_t>(length >> 24)};
+  for (std::size_t i = 0; i < 8; ++i) meta[6 + i] = static_cast<std::uint8_t>(id >> (8 * i));
   std::uint32_t crc = crc32_update(kCrc32Init, meta, sizeof(meta));
   crc = crc32_update(crc, payload.data(), payload.size());
   return crc32_final(crc);
@@ -32,6 +34,9 @@ void encode_header(const FrameHeader& header, std::uint8_t out[kHeaderSize]) {
   put16(6, header.type);
   put32(8, header.length);
   put32(12, header.crc);
+  for (std::size_t i = 0; i < 8; ++i) {
+    out[16 + i] = static_cast<std::uint8_t>(header.id >> (8 * i));
+  }
 }
 
 Result<FrameHeader> decode_header(const std::uint8_t data[kHeaderSize],
@@ -52,6 +57,9 @@ Result<FrameHeader> decode_header(const std::uint8_t data[kHeaderSize],
   header.type = get16(6);
   header.length = get32(8);
   header.crc = get32(12);
+  for (std::size_t i = 0; i < 8; ++i) {
+    header.id |= static_cast<std::uint64_t>(data[16 + i]) << (8 * i);
+  }
   if (header.version != kProtocolVersion) {
     return make_error(ErrorCode::kVersion,
                       "protocol version " + std::to_string(header.version) +
@@ -63,25 +71,22 @@ Result<FrameHeader> decode_header(const std::uint8_t data[kHeaderSize],
   return header;
 }
 
-Bytes build_frame(std::uint16_t type, const Bytes& payload) {
-  FrameHeader header;
-  header.type = type;
-  header.length = static_cast<std::uint32_t>(payload.size());
-  header.crc = frame_crc(type, header.length, payload);
+Bytes build_frame(std::uint16_t type, const Bytes& payload, std::uint64_t id) {
   Bytes frame(kHeaderSize + payload.size());
-  encode_header(header, frame.data());
+  encode_frame_header(type, payload, id, frame.data());
   if (!payload.empty()) {
     std::memcpy(frame.data() + kHeaderSize, payload.data(), payload.size());
   }
   return frame;
 }
 
-void encode_frame_header(std::uint16_t type, const Bytes& payload,
+void encode_frame_header(std::uint16_t type, const Bytes& payload, std::uint64_t id,
                          std::uint8_t out[kHeaderSize]) {
   FrameHeader header;
   header.type = type;
   header.length = static_cast<std::uint32_t>(payload.size());
-  header.crc = frame_crc(type, header.length, payload);
+  header.id = id;
+  header.crc = frame_crc(type, header.length, id, payload);
   encode_header(header, out);
 }
 
@@ -89,7 +94,7 @@ Status check_payload(const FrameHeader& header, const Bytes& payload) {
   if (payload.size() != header.length) {
     return make_error(ErrorCode::kProtocol, "payload length mismatch");
   }
-  if (frame_crc(header.type, header.length, payload) != header.crc) {
+  if (frame_crc(header.type, header.length, header.id, payload) != header.crc) {
     // Retryable: the header framed correctly, so this is in-flight damage
     // (or an injected corruption fault), not a framing bug.
     return make_error(ErrorCode::kCorruptFrame, "frame CRC mismatch");

@@ -1,20 +1,22 @@
 // Wire frame: the unit of transport between NetSolve processes.
 //
-// Layout (little-endian):
+// Layout (little-endian), protocol version 2:
 //   magic   u32   'NSV1' (0x3156534e)
 //   version u16   protocol version
 //   type    u16   message type tag (ns::proto::MessageType)
 //   length  u32   payload byte count
-//   crc     u32   CRC-32 over type + length + payload
+//   crc     u32   CRC-32 over type + length + id + payload
+//   id      u64   correlation id: a reply carries its request's id; 0 = none
 //   payload u8[length]
 //
 // The header is fixed-size so a reader can pull exactly kHeaderSize bytes,
 // validate, then pull the payload. CRC validation catches corruption and
-// (more importantly in practice) framing bugs. The CRC covers the type and
-// length fields as well as the payload: magic and version are checked
+// (more importantly in practice) framing bugs. The CRC covers the type,
+// length and id fields as well as the payload: magic and version are checked
 // explicitly on decode, so without this a flipped type byte would silently
 // re-route an otherwise-valid frame to a different handler (found by the
-// frame fuzz test).
+// frame fuzz test), and a flipped id byte would hand a reply to the wrong
+// caller of a shared connection.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +27,8 @@
 namespace ns::serial {
 
 inline constexpr std::uint32_t kFrameMagic = 0x3156534eu;  // "NSV1"
-inline constexpr std::uint16_t kProtocolVersion = 1;
-inline constexpr std::size_t kHeaderSize = 16;
+inline constexpr std::uint16_t kProtocolVersion = 2;
+inline constexpr std::size_t kHeaderSize = 24;
 inline constexpr std::size_t kMaxPayload = 1u << 30;  // 1 GiB
 
 struct FrameHeader {
@@ -34,6 +36,7 @@ struct FrameHeader {
   std::uint16_t type = 0;
   std::uint32_t length = 0;
   std::uint32_t crc = 0;
+  std::uint64_t id = 0;
 };
 
 /// Serialize a header into exactly kHeaderSize bytes.
@@ -48,13 +51,13 @@ Result<FrameHeader> decode_header(const std::uint8_t data[kHeaderSize],
                                   std::size_t max_payload = kMaxPayload);
 
 /// Build a complete frame (header + payload) for a message type.
-Bytes build_frame(std::uint16_t type, const Bytes& payload);
+Bytes build_frame(std::uint16_t type, const Bytes& payload, std::uint64_t id = 0);
 
 /// Write just the kHeaderSize header (with the CRC computed over type +
-/// length + payload) for a frame whose payload will travel as a separate
+/// length + id + payload) for a frame whose payload will travel as a separate
 /// buffer — the reactor's scatter-gather write path sends header and payload
 /// as two iovecs instead of assembling a contiguous frame copy.
-void encode_frame_header(std::uint16_t type, const Bytes& payload,
+void encode_frame_header(std::uint16_t type, const Bytes& payload, std::uint64_t id,
                          std::uint8_t out[kHeaderSize]);
 
 /// Validate a payload against its header's CRC.

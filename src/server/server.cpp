@@ -89,8 +89,8 @@ Result<std::unique_ptr<ComputeServer>> ComputeServer::start(ServerConfig config)
 
   // The reactor adopts the listener: reads and frame decode live on its
   // event loop, handlers (including blocking solves waiting in the admission
-  // queue) on its elastic pool. Its idle sweep stays above the client pool's
-  // keep-alive window so the client side discards idle connections first.
+  // queue) on its elastic pool. Its idle sweep stays above the client
+  // channels' idle limit so the client side retires idle connections first.
   net::ReactorConfig reactor_config;
   reactor_config.idle_timeout_s = std::max(server->config_.io_timeout_s, 5.0);
   reactor_config.guard = server->config_.guard;
@@ -182,10 +182,8 @@ Status ComputeServer::register_link(AgentLink& link, std::vector<net::Endpoint>*
   reg.mflops = rated_mflops_;
   reg.problems = registry_.all_specs();
   reg.incarnation = incarnation_;
-  auto reply = net::pool_round_trip(link.endpoint,
-                                    static_cast<std::uint16_t>(MessageType::kRegisterServer),
-                                    encode_payload(reg), config_.io_timeout_s,
-                                    /*dial_timeout_s=*/5.0);
+  auto reply = net::call(link.endpoint, static_cast<std::uint16_t>(MessageType::kRegisterServer),
+                         encode_payload(reg), config_.io_timeout_s, /*dial_timeout_s=*/5.0);
   if (!reply.ok()) return reply.error();
   if (reply.value().type != static_cast<std::uint16_t>(MessageType::kRegisterAck)) {
     return make_error(ErrorCode::kProtocol, "expected RegisterAck");
@@ -456,7 +454,7 @@ bool ComputeServer::handle_message(const net::ReactorConnPtr& conn, net::Message
   if (stopping_.load()) return false;
 
   if (msg.type == static_cast<std::uint16_t>(MessageType::kPing)) {
-    return conn->send(static_cast<std::uint16_t>(MessageType::kPong), {}).ok();
+    return conn->send(static_cast<std::uint16_t>(MessageType::kPong), {}, msg.id).ok();
   }
   if (msg.type == static_cast<std::uint16_t>(MessageType::kMetricsQuery)) {
     serial::Decoder query_dec(msg.payload);
@@ -465,7 +463,7 @@ bool ComputeServer::handle_message(const net::ReactorConnPtr& conn, net::Message
     dump.snapshot = metrics::Registry::instance().snapshot(
         query.ok() ? query.value().prefix : std::string{});
     return conn->send(static_cast<std::uint16_t>(MessageType::kMetricsDump),
-                      encode_payload(dump))
+                      encode_payload(dump), msg.id)
         .ok();
   }
   if (msg.type == static_cast<std::uint16_t>(MessageType::kCancelRequest)) {
@@ -483,7 +481,7 @@ bool ComputeServer::handle_message(const net::ReactorConnPtr& conn, net::Message
     }
     jobs_cv_.notify_all();
     return conn->send(static_cast<std::uint16_t>(MessageType::kCancelAck),
-                      encode_payload(ack))
+                      encode_payload(ack), msg.id)
         .ok();
   }
   if (msg.type == static_cast<std::uint16_t>(MessageType::kDrainRequest)) {
@@ -498,7 +496,7 @@ bool ComputeServer::handle_message(const net::ReactorConnPtr& conn, net::Message
     }
     ack.started = start_drain(drain_msg.value().deadline_s);
     return conn->send(static_cast<std::uint16_t>(MessageType::kDrainAck),
-                      encode_payload(ack))
+                      encode_payload(ack), msg.id)
         .ok();
   }
   if (msg.type == static_cast<std::uint16_t>(MessageType::kProbeRequest)) {
@@ -506,7 +504,7 @@ bool ComputeServer::handle_message(const net::ReactorConnPtr& conn, net::Message
     auto probe = proto::ProbeRequest::decode(probe_dec);
     if (!probe.ok()) return false;  // protocol violation: drop
     return conn->send(static_cast<std::uint16_t>(MessageType::kProbeReply),
-                      encode_payload(probe_job(probe.value())))
+                      encode_payload(probe_job(probe.value())), msg.id)
         .ok();
   }
   if (msg.type == static_cast<std::uint16_t>(MessageType::kJobTransfer)) {
@@ -514,7 +512,7 @@ bool ComputeServer::handle_message(const net::ReactorConnPtr& conn, net::Message
     auto transfer = proto::JobTransfer::decode(transfer_dec);
     if (!transfer.ok()) return false;  // protocol violation: drop
     return conn->send(static_cast<std::uint16_t>(MessageType::kTransferAck),
-                      encode_payload(accept_transfer(std::move(transfer).value())))
+                      encode_payload(accept_transfer(std::move(transfer).value())), msg.id)
         .ok();
   }
   if (msg.type == static_cast<std::uint16_t>(MessageType::kCheckpointPut)) {
@@ -522,7 +520,7 @@ bool ComputeServer::handle_message(const net::ReactorConnPtr& conn, net::Message
     auto put = proto::CheckpointPut::decode(put_dec);
     if (!put.ok()) return false;  // protocol violation: drop
     return conn->send(static_cast<std::uint16_t>(MessageType::kCheckpointPutAck),
-                      encode_payload(accept_checkpoint(std::move(put).value())))
+                      encode_payload(accept_checkpoint(std::move(put).value())), msg.id)
         .ok();
   }
   if (msg.type == static_cast<std::uint16_t>(MessageType::kCheckpointFetch)) {
@@ -530,19 +528,18 @@ bool ComputeServer::handle_message(const net::ReactorConnPtr& conn, net::Message
     auto fetch = proto::CheckpointFetch::decode(fetch_dec);
     if (!fetch.ok()) return false;  // protocol violation: drop
     return conn->send(static_cast<std::uint16_t>(MessageType::kCheckpointFetchReply),
-                      encode_payload(handle_checkpoint_fetch(fetch.value())))
+                      encode_payload(handle_checkpoint_fetch(fetch.value())), msg.id)
         .ok();
   }
   if (msg.type != static_cast<std::uint16_t>(MessageType::kSolveRequest)) {
     return false;  // protocol violation: drop
   }
-  return handle_solve(conn, msg.payload);
+  return handle_solve(conn, msg);
 }
 
-bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
-                                 const serial::Bytes& payload) {
+bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn, const net::Message& msg) {
   const auto solve_result = static_cast<std::uint16_t>(MessageType::kSolveResult);
-  serial::Decoder dec(payload);
+  serial::Decoder dec(msg.payload);
   const Stopwatch since_receipt;
   // Decoding materializes the full argument set from untrusted bytes — the
   // single largest allocation on the request path. An allocation failure
@@ -563,7 +560,7 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
   if (!request.ok()) {
     result.error_code = static_cast<std::uint16_t>(request.error().code);
     result.error_message = request.error().message;
-    (void)conn->send(solve_result, encode_payload(result), config_.link);
+    (void)conn->send(solve_result, encode_payload(result), msg.id, config_.link);
     return false;
   }
   result.request_id = request.value().request_id;
@@ -595,7 +592,7 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
     case FailureSpec::Mode::kErrorReply:
       result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerFailure);
       result.error_message = "injected failure";
-      return conn->send(solve_result, encode_payload(result), config_.link).ok();
+      return conn->send(solve_result, encode_payload(result), msg.id, config_.link).ok();
     case FailureSpec::Mode::kNone:
       break;
   }
@@ -609,7 +606,7 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
     metrics_.drain_rejected.inc();
     result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
     result.error_message = "server draining";
-    return conn->send(solve_result, encode_payload(result), config_.link).ok();
+    return conn->send(solve_result, encode_payload(result), msg.id, config_.link).ok();
   }
   // A job that insists on durability cannot run where the journal has
   // fail-stopped (or never existed). Shed retryably — the agent already
@@ -621,7 +618,7 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
     metrics_.store_degraded_shed.inc();
     result.error_code = static_cast<std::uint16_t>(ErrorCode::kServerOverloaded);
     result.error_message = "durability degraded: journal unavailable";
-    return conn->send(solve_result, encode_payload(result), config_.link).ok();
+    return conn->send(solve_result, encode_payload(result), msg.id, config_.link).ok();
   }
   // Visible to CANCEL, PROBE and the drain sweep from admission to reply.
   // The request moves into the job so compaction and migration can
@@ -640,7 +637,7 @@ bool ComputeServer::handle_solve(const net::ReactorConnPtr& conn,
                           : 0.0);
   auto reply = run_job(job, since_receipt);
   if (!reply.has_value()) return false;  // stopping or crashed: no reply leaves
-  return conn->send(solve_result, encode_payload(*reply), config_.link).ok();
+  return conn->send(solve_result, encode_payload(*reply), msg.id, config_.link).ok();
 }
 
 std::optional<proto::SolveResult> ComputeServer::run_job(
@@ -1048,9 +1045,9 @@ void ComputeServer::send_workload_report(double workload) {
         static_cast<double>(std::max(0, effective_concurrency_locked() - running_jobs_));
   }
   // Fan out to every agent we ever registered with; ids are agent-local so
-  // each link carries its own. Reports ride the keep-alive pool — one warm
-  // connection per agent instead of a dial per period. A dead agent costs
-  // one failed dial; the next period retries.
+  // each link carries its own. Reports are posts on the agent's shared
+  // channel — one warm connection per agent instead of a dial per period. A
+  // dead agent costs one failed dial; the next period retries.
   std::lock_guard<std::mutex> links_lock(links_mu_);
   for (const auto& link : agent_links_) {
     if (link.id == proto::kInvalidServerId) continue;
@@ -1068,9 +1065,8 @@ void ComputeServer::send_workload_report(double workload) {
         governor_.governed() ? static_cast<double>(governor_.headroom()) : -1.0;
     report.spill_active =
         spill_.enabled() ? (spilled_jobs_.load() > 0 ? 1 : 0) : -1;
-    (void)net::pool_post(link.endpoint,
-                         static_cast<std::uint16_t>(MessageType::kWorkloadReport),
-                         encode_payload(report), /*dial_timeout_s=*/1.0);
+    (void)net::post(link.endpoint, static_cast<std::uint16_t>(MessageType::kWorkloadReport),
+                    encode_payload(report), /*dial_timeout_s=*/1.0);
   }
 }
 
@@ -1659,7 +1655,7 @@ void ComputeServer::replicate_checkpoint(ActiveJob& job,
       put.request = job.request;
     }
 
-    auto reply = net::pool_round_trip(
+    auto reply = net::call(
         config_.replicas[i], static_cast<std::uint16_t>(MessageType::kCheckpointPut),
         encode_payload(put), /*timeout_s=*/2.0, /*dial_timeout_s=*/1.0);
     bool accepted = false;
@@ -1962,9 +1958,8 @@ std::vector<proto::ServerCandidate> ComputeServer::query_candidates(
   }
   query.output_bytes = query.input_bytes;
   for (const auto& agent : agents) {
-    auto reply = net::pool_round_trip(agent, static_cast<std::uint16_t>(MessageType::kQuery),
-                                      encode_payload(query), /*timeout_s=*/2.0,
-                                      /*dial_timeout_s=*/2.0);
+    auto reply = net::call(agent, static_cast<std::uint16_t>(MessageType::kQuery),
+                           encode_payload(query), /*timeout_s=*/2.0, /*dial_timeout_s=*/2.0);
     if (!reply.ok() ||
         reply.value().type != static_cast<std::uint16_t>(MessageType::kServerList)) {
       continue;
@@ -1997,10 +1992,9 @@ bool ComputeServer::migrate_job(ActiveJob& job, proto::SolveResult& result) {
   // longer contain us; every candidate is a genuine peer.
   for (const auto& candidate : query_candidates(job.request)) {
     if (candidate.endpoint == endpoint_) continue;
-    auto reply = net::pool_round_trip(candidate.endpoint,
-                                      static_cast<std::uint16_t>(MessageType::kJobTransfer),
-                                      encode_payload(transfer), /*timeout_s=*/2.0,
-                                      /*dial_timeout_s=*/2.0);
+    auto reply = net::call(candidate.endpoint,
+                           static_cast<std::uint16_t>(MessageType::kJobTransfer),
+                           encode_payload(transfer), /*timeout_s=*/2.0, /*dial_timeout_s=*/2.0);
     if (!reply.ok() ||
         reply.value().type != static_cast<std::uint16_t>(MessageType::kTransferAck)) {
       continue;
@@ -2049,9 +2043,8 @@ void ComputeServer::deregister_from_agents() {
     proto::DeregisterServer msg;
     msg.server_id = link.id;
     // Fire-and-forget; a dead agent already thinks we are gone.
-    (void)net::pool_post(link.endpoint,
-                         static_cast<std::uint16_t>(MessageType::kDeregisterServer),
-                         encode_payload(msg), /*dial_timeout_s=*/1.0);
+    (void)net::post(link.endpoint, static_cast<std::uint16_t>(MessageType::kDeregisterServer),
+                    encode_payload(msg), /*dial_timeout_s=*/1.0);
   }
 }
 

@@ -510,7 +510,7 @@ class ComputeServer {
   /// violation, injected drop, shutdown).
   bool handle_message(const net::ReactorConnPtr& conn, net::Message&& msg);
   /// The SolveRequest path: failure injection, admission, execution, reply.
-  bool handle_solve(const net::ReactorConnPtr& conn, const serial::Bytes& payload);
+  bool handle_solve(const net::ReactorConnPtr& conn, const net::Message& msg);
   void report_loop();
   void send_workload_report(double workload);
   /// Predicted service time for one request from the problem's complexity

@@ -179,7 +179,7 @@ Result<proto::DrainAck> TestCluster::drain_server(std::size_t i, double deadline
 
 void TestCluster::kill_server(std::size_t i) {
   servers_.at(i)->stop();
-  // Pooled connections into the dead incarnation would be reused (and fail)
+  // A cached channel into the dead incarnation would be reused (and fail)
   // before the MSG_PEEK staleness check notices the FIN on a racing close.
   net::ConnectionPool::instance().evict(servers_.at(i)->endpoint());
 }

@@ -1,16 +1,13 @@
-// Unit tests for ns_common: errors/results, strings, config, rng, clock,
-// blocking queue.
+// Unit tests for ns_common: errors/results, strings, config, rng, clock, log.
 #include <gtest/gtest.h>
 
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "common/queue.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 
@@ -277,68 +274,6 @@ TEST(ClockTest, NeverDeadline) {
   const Deadline d = Deadline::never();
   EXPECT_FALSE(d.expired());
   EXPECT_GT(d.remaining(), 1e12);
-}
-
-// ---- blocking queue ----
-
-TEST(QueueTest, FifoOrder) {
-  BlockingQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-}
-
-TEST(QueueTest, TryPopEmpty) {
-  BlockingQueue<int> q;
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(QueueTest, BoundedTryPush) {
-  BlockingQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3)) << "capacity reached";
-  (void)q.pop();
-  EXPECT_TRUE(q.try_push(3));
-}
-
-TEST(QueueTest, CloseDrainsThenEnds) {
-  BlockingQueue<int> q;
-  q.push(1);
-  q.close();
-  EXPECT_FALSE(q.push(2)) << "push after close fails";
-  EXPECT_EQ(q.pop().value(), 1) << "drain remaining";
-  EXPECT_FALSE(q.pop().has_value()) << "then closed signal";
-}
-
-TEST(QueueTest, CloseWakesBlockedPop) {
-  BlockingQueue<int> q;
-  std::thread t([&q] {
-    const auto v = q.pop();
-    EXPECT_FALSE(v.has_value());
-  });
-  sleep_seconds(0.01);
-  q.close();
-  t.join();
-}
-
-TEST(QueueTest, ProducerConsumerStress) {
-  BlockingQueue<int> q(16);
-  constexpr int kItems = 2000;
-  std::int64_t sum = 0;
-  std::thread consumer([&q, &sum] {
-    while (auto v = q.pop()) sum += *v;
-  });
-  std::thread producer([&q] {
-    for (int i = 1; i <= kItems; ++i) q.push(i);
-    q.close();
-  });
-  producer.join();
-  consumer.join();
-  EXPECT_EQ(sum, static_cast<std::int64_t>(kItems) * (kItems + 1) / 2);
 }
 
 // ---- log ----

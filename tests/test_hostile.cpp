@@ -245,7 +245,7 @@ class BlobServer {
         std::move(listener).value(),
         [](const net::ReactorConnPtr& conn, net::Message&& msg) {
           if (msg.type != kBlobReq) return false;
-          return conn->send(kBlobRep, serial::Bytes(64 << 10, 0x5a)).ok();
+          return conn->send(kBlobRep, serial::Bytes(64 << 10, 0x5a), msg.id).ok();
         },
         config);
     EXPECT_TRUE(status.ok());

@@ -395,8 +395,7 @@ TEST(MemPressureTest, OversizedJobShedsRetryablySmallJobsStillFlow) {
 // "never std::terminate" assertion.
 TEST(MemPressureTest, InjectedBadAllocNeverCrashesAnyDaemon) {
   const char* kSites[] = {
-      "server.solve_decode", "server.execute", "net.recv",
-      "net.mux_read",        "net.reactor_read",
+      "server.solve_decode", "server.execute", "net.recv", "net.reactor_read",
   };
 
   testkit::ClusterConfig config;
@@ -511,7 +510,7 @@ TEST(MemPressureTest, ReplicaStoreIsByteBoundedLargestFirst) {
     put.request.args = {DataObject(std::int64_t{1})};
     serial::Encoder enc;
     put.encode(enc);
-    auto reply = net::pool_round_trip(
+    auto reply = net::call(
         ep, static_cast<std::uint16_t>(proto::MessageType::kCheckpointPut),
         enc.take(), 5.0, 5.0);
     ASSERT_TRUE(reply.ok()) << reply.error().to_string();
@@ -565,7 +564,7 @@ TEST(MemPressureTest, ReplicaLargerThanBudgetIsRefused) {
   put.request.args = {DataObject(std::int64_t{1})};
   serial::Encoder enc;
   put.encode(enc);
-  auto reply = net::pool_round_trip(
+  auto reply = net::call(
       server.endpoint(), static_cast<std::uint16_t>(proto::MessageType::kCheckpointPut),
       enc.take(), 5.0, 5.0);
   ASSERT_TRUE(reply.ok()) << reply.error().to_string();

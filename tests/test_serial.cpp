@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "serial/codec.hpp"
@@ -264,6 +265,7 @@ TEST(FrameTest, HeaderRoundTrip) {
   header.type = 42;
   header.length = 1234;
   header.crc = 0xabcdef01u;
+  header.id = 0x0123456789abcdefull;
   std::uint8_t buf[kHeaderSize];
   encode_header(header, buf);
   auto decoded = decode_header(buf);
@@ -271,6 +273,7 @@ TEST(FrameTest, HeaderRoundTrip) {
   EXPECT_EQ(decoded.value().type, 42);
   EXPECT_EQ(decoded.value().length, 1234u);
   EXPECT_EQ(decoded.value().crc, 0xabcdef01u);
+  EXPECT_EQ(decoded.value().id, 0x0123456789abcdefull);
   EXPECT_EQ(decoded.value().version, kProtocolVersion);
 }
 
@@ -289,6 +292,42 @@ TEST(FrameTest, WrongVersionRejected) {
   auto decoded = decode_header(buf);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.error().code, ErrorCode::kVersion);
+}
+
+// A version-1 peer (16-byte header, no id field) is refused at decode, not
+// misframed: its CRC field would land where version 2 expects the id.
+TEST(FrameTest, VersionOneHeaderRejected) {
+  std::uint8_t buf[kHeaderSize] = {};
+  const std::uint8_t v1[16] = {0x4e, 0x53, 0x56, 0x31,  // magic "NSV1"
+                               1,    0,                 // version 1
+                               7,    0,                 // type
+                               3,    0,    0,    0,     // length
+                               0xef, 0xbe, 0xad, 0xde};  // crc
+  std::memcpy(buf, v1, sizeof(v1));
+  auto decoded = decode_header(buf);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code, ErrorCode::kVersion);
+}
+
+// The id decides which caller of a shared connection receives a reply, so
+// the CRC covers it: damage to any id byte fails check_payload instead of
+// handing the frame to the wrong caller.
+TEST(FrameTest, IdByteFlipsFailCheckPayload) {
+  const Bytes payload{1, 2, 3, 4, 5};
+  const Bytes original = build_frame(7, payload, 0x1122334455667788ull);
+  ASSERT_TRUE(check_payload(decode_header(original.data()).value(), payload).ok());
+  for (std::size_t at = 16; at < kHeaderSize; ++at) {
+    for (std::uint8_t mask : {0x01, 0x80, 0xff}) {
+      Bytes frame = original;
+      frame[at] ^= mask;
+      auto header = decode_header(frame.data());
+      ASSERT_TRUE(header.ok()) << "id damage must not look like a framing error";
+      EXPECT_NE(header.value().id, 0x1122334455667788ull);
+      auto status = check_payload(header.value(), payload);
+      ASSERT_FALSE(status.ok()) << "flipped id byte " << at << " passed the CRC";
+      EXPECT_EQ(status.error().code, ErrorCode::kCorruptFrame);
+    }
+  }
 }
 
 TEST(FrameTest, BuildAndValidate) {
@@ -403,20 +442,13 @@ TEST(FrameTest, FuzzedByteFlipsFailCleanly) {
 
 namespace {
 
-/// One decoded frame: type + payload, plus the request id the transport's
-/// demultiplexer would read from the first eight payload bytes.
+/// One decoded frame: type + payload, plus the frame id the transport's
+/// demultiplexer matches replies on.
 struct StreamFrame {
   std::uint16_t type = 0;
   Bytes payload;
   std::uint64_t request_id = 0;
 };
-
-std::uint64_t peek_request_id(const Bytes& payload) {
-  if (payload.size() < 8) return 0;
-  std::uint64_t id = 0;
-  for (std::size_t i = 0; i < 8; ++i) id |= static_cast<std::uint64_t>(payload[i]) << (8 * i);
-  return id;
-}
 
 /// Incremental stream decoder mirroring Reactor::drain_frames: feed bytes in
 /// arbitrary chunks; complete frames pop out in order. Any validation error
@@ -436,7 +468,7 @@ class FrameStream {
       NS_RETURN_IF_ERROR(check_payload(header.value(), payload));
       StreamFrame frame;
       frame.type = header.value().type;
-      frame.request_id = peek_request_id(payload);
+      frame.request_id = header.value().id;
       frame.payload = std::move(payload);
       out->push_back(std::move(frame));
       consumed += total;
@@ -463,16 +495,11 @@ TEST(FrameStreamTest, FuzzedChunkingPreservesFrames) {
     for (int f = 0; f < frame_count; ++f) {
       StreamFrame frame;
       frame.type = static_cast<std::uint16_t>(rng.uniform_int(1, 30));
-      // Interleaved request ids: each frame tags a distinct logical call.
+      // Interleaved frame ids: each frame tags a distinct logical call.
       frame.request_id = rng.next_u64() | 1;
-      frame.payload.resize(8 + static_cast<std::size_t>(rng.uniform_int(0, 96)));
-      for (std::size_t i = 0; i < 8; ++i) {
-        frame.payload[i] = static_cast<std::uint8_t>(frame.request_id >> (8 * i));
-      }
-      for (std::size_t i = 8; i < frame.payload.size(); ++i) {
-        frame.payload[i] = static_cast<std::uint8_t>(rng.next_u64());
-      }
-      const Bytes encoded = build_frame(frame.type, frame.payload);
+      frame.payload.resize(static_cast<std::size_t>(rng.uniform_int(0, 104)));
+      for (auto& b : frame.payload) b = static_cast<std::uint8_t>(rng.next_u64());
+      const Bytes encoded = build_frame(frame.type, frame.payload, frame.request_id);
       wire.insert(wire.end(), encoded.begin(), encoded.end());
       sent.push_back(std::move(frame));
     }
@@ -511,8 +538,8 @@ TEST(FrameStreamTest, FuzzedDamageMidStreamFailsCleanly) {
       Bytes payload(8 + static_cast<std::size_t>(rng.uniform_int(0, 48)));
       for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_u64());
       starts.push_back(wire.size());
-      const Bytes encoded =
-          build_frame(static_cast<std::uint16_t>(rng.uniform_int(1, 30)), payload);
+      const Bytes encoded = build_frame(static_cast<std::uint16_t>(rng.uniform_int(1, 30)),
+                                        payload, rng.next_u64());
       wire.insert(wire.end(), encoded.begin(), encoded.end());
     }
     const auto at =

@@ -1,17 +1,21 @@
 // Tests for the event-driven transport core: the epoll reactor, the elastic
-// task pool, the keep-alive connection pool, and the pipelining mux channel.
+// task pool, the connection pool, and the pipelining mux channel.
 //
 // The reactor under test runs a tiny echo protocol: request type kEchoReq
-// carries an 8-byte request id followed by arbitrary bytes; the handler
-// replies kEchoRep with the identical payload (so the id demultiplexes),
+// carries an 8-byte tag followed by arbitrary bytes; the handler replies
+// kEchoRep with the identical payload under the request's frame id,
 // optionally sleeping first when the payload says so — enough to script
-// out-of-order completions and deadline races without a full server.
+// out-of-order completions and deadline races without a full server. The
+// tag tells a test which request a reply answers.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <condition_variable>
+#include <fstream>
+#include <memory>
 #include <mutex>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -75,21 +79,31 @@ bool eventually_conn_count(Reactor& reactor, std::size_t want, double timeout_s 
   return reactor.connection_count() == want;
 }
 
+/// Threads in this process, from /proc/self/status.
+int thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
 /// Reactor wrapper serving the echo protocol on an ephemeral port.
 class EchoServer {
  public:
-  explicit EchoServer(ReactorConfig config = {}) {
+  explicit EchoServer(ReactorConfig config = {}, LinkShape reply_shape = LinkShape::unshaped()) {
     auto listener = TcpListener::bind({"127.0.0.1", 0});
     EXPECT_TRUE(listener.ok());
     endpoint_ = listener.value().endpoint();
     auto status = reactor_.start(
         std::move(listener).value(),
-        [this](const ReactorConnPtr& conn, Message&& msg) {
+        [this, reply_shape](const ReactorConnPtr& conn, Message&& msg) {
           if (msg.type != kEchoReq) return false;
           frames_.fetch_add(1);
           const double sleep_s = payload_sleep_s(msg.payload);
           if (sleep_s > 0.0) sleep_seconds(sleep_s);
-          return conn->send(kEchoRep, msg.payload).ok();
+          return conn->send(kEchoRep, msg.payload, msg.id, reply_shape).ok();
         },
         config);
     EXPECT_TRUE(status.ok());
@@ -334,83 +348,99 @@ TEST(TaskPoolTest, GrowsBeyondCoreThreadsUnderBlockingLoad) {
   EXPECT_GE(pool.thread_count(), 0u);  // stop() joined everything without deadlock
 }
 
-// ---- connection pool (leases) ----
+// ---- connection pool ----
 
-TEST(PoolTest, LeaseReusesReleasedConnection) {
+// A warm channel is reused: the second exchange rides the first one's socket
+// and counts as a pool hit.
+TEST(PoolTest, WarmChannelIsReused) {
   EchoServer server;
   auto& pool = ConnectionPool::instance();
   pool.clear();
+  const std::uint64_t hits_before = metrics::counter("net.pool.hits_total").value();
+  const std::uint64_t misses_before = metrics::counter("net.pool.misses_total").value();
 
-  auto first = pool.lease(server.endpoint(), 2.0);
+  auto first = call(server.endpoint(), kEchoReq, make_payload(1), 5.0, 2.0);
   ASSERT_TRUE(first.ok());
-  EXPECT_FALSE(first.value().reused());
-  ASSERT_TRUE(send_message(first.value().conn(), kEchoReq, make_payload(1)).ok());
-  ASSERT_TRUE(recv_message(first.value().conn(), 5.0).ok());
-  first.value().release();
-  EXPECT_EQ(pool.idle_count(), 1u);
-
-  auto second = pool.lease(server.endpoint(), 2.0);
+  auto second = call(server.endpoint(), kEchoReq, make_payload(2), 5.0, 2.0);
   ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second.value().reused()) << "warm connection not reused";
-  ASSERT_TRUE(send_message(second.value().conn(), kEchoReq, make_payload(2)).ok());
-  auto reply = recv_message(second.value().conn(), 5.0);
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(payload_id(reply.value().payload), 2u);
+  EXPECT_EQ(payload_id(second.value().payload), 2u);
+
+  EXPECT_EQ(metrics::counter("net.pool.misses_total").value(), misses_before + 1);
+  EXPECT_GT(metrics::counter("net.pool.hits_total").value(), hits_before)
+      << "warm channel not reused";
+  EXPECT_EQ(server.reactor().connection_count(), 1u);
 }
 
-// Satellite regression: a reply racing a deadline expiry leaves half a frame
-// (or a whole late frame) in flight. The timed-out lease must be discarded —
-// never released — and the next round trip must get its own reply, not the
-// stale one.
-TEST(PoolTest, TimedOutLeaseIsDiscardedNotReused) {
+// A reply that arrives after its caller gave up never reaches the next
+// caller: it is dropped by whoever reads it, or, if it sits unread on an
+// idle channel, the channel is retired and the next caller redials.
+TEST(PoolTest, LateReplyNeverReachesNextCaller) {
   EchoServer server;
-  auto& pool = ConnectionPool::instance();
-  pool.clear();
-  const std::uint64_t discards_before = metrics::counter("net.pool.discarded_total").value();
+  ConnectionPool::instance().clear();
+  const std::uint64_t evicted_before = metrics::counter("net.mux.evicted_total").value();
 
   // Handler sleeps 300 ms; the caller gives up after 50 ms.
-  auto late = pool_round_trip(server.endpoint(), kEchoReq, make_payload(1, /*sleep_s=*/0.3),
-                              /*timeout_s=*/0.05, /*dial_timeout_s=*/2.0);
+  auto late = call(server.endpoint(), kEchoReq, make_payload(1, /*sleep_s=*/0.3),
+                   /*timeout_s=*/0.05, /*dial_timeout_s=*/2.0);
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.error().code, ErrorCode::kTimeout);
-  EXPECT_EQ(pool.idle_count(), 0u) << "timed-out connection leaked back into the pool";
-  EXPECT_GT(metrics::counter("net.pool.discarded_total").value(), discards_before);
 
-  // The late reply (id 1) is still in flight toward the discarded socket.
-  // A fresh round trip must dial clean and receive its own id.
-  auto fresh = pool_round_trip(server.endpoint(), kEchoReq, make_payload(2),
-                               /*timeout_s=*/5.0, /*dial_timeout_s=*/2.0);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(payload_id(fresh.value().payload), 2u) << "stale reply leaked into a fresh lease";
+  auto next = call(server.endpoint(), kEchoReq, make_payload(2), 5.0, 2.0);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(payload_id(next.value().payload), 2u) << "stale reply leaked into the next call";
+
+  sleep_seconds(0.4);  // the late reply lands on an idle channel, unread
+  auto after = call(server.endpoint(), kEchoReq, make_payload(3), 5.0, 2.0);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(payload_id(after.value().payload), 3u) << "stale reply leaked into a later call";
+  EXPECT_GT(metrics::counter("net.mux.evicted_total").value(), evicted_before)
+      << "a channel holding unread bytes was handed out again";
 }
 
-// Satellite regression: poison a pooled connection mid-frame via fault
-// injection (stall = half a frame then silence). The lease must be
-// discarded, and traffic after disarm must flow on a clean connection.
-TEST(PoolTest, StalledMidFrameLeaseIsDiscarded) {
+// A mid-frame stall in either direction takes the channel out of service and
+// the next call redials. A stalled request retires the channel (its half
+// frame would corrupt every later request); a stalled reply poisons it once
+// the progress window passes.
+TEST(PoolTest, MidFrameStallPoisonsChannelAndRedials) {
   EchoServer server;
   auto& pool = ConnectionPool::instance();
   pool.clear();
 
-  // Warm the pool with one good round trip.
-  auto warm = pool_round_trip(server.endpoint(), kEchoReq, make_payload(1), 5.0, 2.0);
+  auto warm = pool.channel(server.endpoint(), 2.0);
   ASSERT_TRUE(warm.ok());
-  ASSERT_EQ(pool.idle_count(), 1u);
+  ASSERT_TRUE(warm.value()->call(kEchoReq, make_payload(1), 5.0).ok());
 
-  // One stalled send: the request frame stops halfway, the reply never
-  // comes, the caller times out, and the poisoned connection is discarded.
-  FaultPlan plan = FaultPlan::single(FaultMode::kStall, 1.0);
-  plan.rules[0].max_triggers = 1;
-  FaultInjector::instance().arm(server.endpoint(), plan);
-  auto stalled = pool_round_trip(server.endpoint(), kEchoReq, make_payload(2),
-                                 /*timeout_s=*/0.2, /*dial_timeout_s=*/2.0);
+  FaultPlan request_stall = FaultPlan::single(FaultMode::kStall, 1.0);
+  request_stall.rules[0].max_triggers = 1;
+  FaultInjector::instance().arm(server.endpoint(), request_stall);
+  auto stalled = warm.value()->call(kEchoReq, make_payload(2), /*timeout_s=*/0.2);
   ASSERT_FALSE(stalled.ok());
-  EXPECT_EQ(pool.idle_count(), 0u) << "mid-frame poisoned connection kept for reuse";
+  EXPECT_EQ(stalled.error().code, ErrorCode::kTimeout);
+  EXPECT_FALSE(warm.value()->healthy()) << "channel with a torn request kept in service";
   FaultInjector::instance().disarm_all();
 
-  auto after = pool_round_trip(server.endpoint(), kEchoReq, make_payload(3), 5.0, 2.0);
+  auto redialed = pool.channel(server.endpoint(), 2.0);
+  ASSERT_TRUE(redialed.ok());
+  EXPECT_NE(redialed.value().get(), warm.value().get());
+  auto after = redialed.value()->call(kEchoReq, make_payload(3), 5.0);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(payload_id(after.value().payload), 3u);
+
+  // Now the reply stalls: half a frame, then silence.
+  const std::uint64_t poisoned_before = metrics::counter("net.mux.poisoned_total").value();
+  FaultPlan reply_stall;
+  reply_stall.rules.push_back(FaultRule{FaultMode::kStall, 1.0, 1, {kEchoRep}});
+  FaultInjector::instance().arm(server.endpoint(), reply_stall);
+  auto silent = redialed.value()->call(kEchoReq, make_payload(4), /*timeout_s=*/5.0);
+  ASSERT_FALSE(silent.ok());
+  EXPECT_TRUE(is_retryable(silent.error().code)) << silent.error().to_string();
+  EXPECT_FALSE(redialed.value()->healthy());
+  EXPECT_GT(metrics::counter("net.mux.poisoned_total").value(), poisoned_before);
+  FaultInjector::instance().disarm_all();
+
+  auto last = call(server.endpoint(), kEchoReq, make_payload(5), 5.0, 2.0);
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(payload_id(last.value().payload), 5u);
 }
 
 // Fault parity: an armed connect fault fires even when the pool is warm —
@@ -420,19 +450,18 @@ TEST(PoolTest, ConnectFaultFiresOnWarmPool) {
   auto& pool = ConnectionPool::instance();
   pool.clear();
 
-  auto warm = pool_round_trip(server.endpoint(), kEchoReq, make_payload(1), 5.0, 2.0);
+  auto warm = call(server.endpoint(), kEchoReq, make_payload(1), 5.0, 2.0);
   ASSERT_TRUE(warm.ok());
-  ASSERT_EQ(pool.idle_count(), 1u);
 
   FaultInjector::instance().arm(server.endpoint(),
                                 FaultPlan::single(FaultMode::kConnectRefused, 1.0));
-  auto refused = pool.lease(server.endpoint(), 0.2);
+  auto refused = pool.channel(server.endpoint(), 0.2);
   EXPECT_FALSE(refused.ok()) << "warm pool bypassed an armed connect fault";
   FaultInjector::instance().disarm_all();
 }
 
-// The MSG_PEEK staleness check: a pooled connection whose peer closed it
-// (server restart, idle sweep) is dropped at lease time, not handed out.
+// The MSG_PEEK staleness check: a cached channel whose peer closed it
+// (server restart, idle sweep) is retired at hand-out, not used.
 TEST(PoolTest, PeerClosedIdleConnectionIsNotHandedOut) {
   ReactorConfig config;
   config.idle_timeout_s = 0.2;  // server sweeps the idle conn out from under the pool
@@ -440,17 +469,18 @@ TEST(PoolTest, PeerClosedIdleConnectionIsNotHandedOut) {
   auto& pool = ConnectionPool::instance();
   pool.clear();
 
-  auto warm = pool_round_trip(server.endpoint(), kEchoReq, make_payload(1), 5.0, 2.0);
+  auto warm = pool.channel(server.endpoint(), 2.0);
   ASSERT_TRUE(warm.ok());
-  ASSERT_EQ(pool.idle_count(), 1u);
+  ASSERT_TRUE(warm.value()->call(kEchoReq, make_payload(1), 5.0).ok());
 
-  sleep_seconds(1.6);  // past the server's sweep; the cached conn is now dead
+  sleep_seconds(1.6);  // past the server's sweep; the cached socket is now dead
 
-  // PoolConfig.idle_timeout_s (2.5 s) has not elapsed, so only the MSG_PEEK
-  // check can save this lease from a dead socket.
-  auto reply = pool_round_trip(server.endpoint(), kEchoReq, make_payload(2), 5.0, 2.0);
-  ASSERT_TRUE(reply.ok());
+  // kChannelIdleLimit (2.5 s) has not elapsed, so only the MSG_PEEK check
+  // can keep this call off the dead socket.
+  auto reply = call(server.endpoint(), kEchoReq, make_payload(2), 5.0, 2.0);
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
   EXPECT_EQ(payload_id(reply.value().payload), 2u);
+  EXPECT_FALSE(warm.value()->healthy());
 }
 
 // ---- mux channel (pipelining) ----
@@ -463,16 +493,16 @@ TEST(MuxTest, ConcurrentCallsDemuxByRequestId) {
   auto channel = pool.channel(server.endpoint(), 2.0);
   ASSERT_TRUE(channel.ok());
 
-  // Out-of-order completion by construction: id 1 sleeps, id 2 does not.
+  // Out-of-order completion by construction: tag 1 sleeps, tag 2 does not.
   // Both share one socket; each must get exactly its own payload back.
   std::thread slow([&] {
-    auto reply = channel.value()->call(kEchoReq, make_payload(1, /*sleep_s=*/0.4), kEchoRep,
-                                       1, /*timeout_s=*/5.0);
+    auto reply = channel.value()->call(kEchoReq, make_payload(1, /*sleep_s=*/0.4),
+                                       /*timeout_s=*/5.0);
     ASSERT_TRUE(reply.ok());
     EXPECT_EQ(payload_id(reply.value().payload), 1u);
   });
   sleep_seconds(0.05);  // let the slow call hit the wire first
-  auto fast = channel.value()->call(kEchoReq, make_payload(2), kEchoRep, 2, 5.0);
+  auto fast = channel.value()->call(kEchoReq, make_payload(2), 5.0);
   ASSERT_TRUE(fast.ok());
   EXPECT_EQ(payload_id(fast.value().payload), 2u);
   slow.join();
@@ -486,15 +516,15 @@ TEST(MuxTest, ManyPipelinedCallsOverOneSocket) {
   auto& pool = ConnectionPool::instance();
   pool.clear();
 
+  auto channel = pool.channel(server.endpoint(), 2.0);
+  ASSERT_TRUE(channel.ok());
   constexpr int kCalls = 24;
   std::vector<std::thread> threads;
   std::atomic<int> ok_count{0};
   for (int i = 0; i < kCalls; ++i) {
     threads.emplace_back([&, i] {
-      auto channel = pool.channel(server.endpoint(), 2.0);
-      ASSERT_TRUE(channel.ok());
       const auto id = static_cast<std::uint64_t>(i + 1);
-      auto reply = channel.value()->call(kEchoReq, make_payload(id), kEchoRep, id, 5.0);
+      auto reply = channel.value()->call(kEchoReq, make_payload(id), 5.0);
       if (reply.ok() && payload_id(reply.value().payload) == id) ok_count.fetch_add(1);
     });
   }
@@ -504,9 +534,102 @@ TEST(MuxTest, ManyPipelinedCallsOverOneSocket) {
       << "pipelined calls dialed extra sockets";
 }
 
+// Concurrent callers through the pool spread over at most
+// kChannelsPerEndpoint sockets; beyond that they pipeline on shared ones.
+TEST(MuxTest, ConcurrentCallersShareAtMostCapChannels) {
+  EchoServer server;
+  ConnectionPool::instance().clear();
+
+  constexpr int kCalls = 24;
+  std::vector<std::thread> threads;
+  std::atomic<int> ok_count{0};
+  for (int i = 0; i < kCalls; ++i) {
+    threads.emplace_back([&, i] {
+      const auto id = static_cast<std::uint64_t>(i + 1);
+      auto reply = call(server.endpoint(), kEchoReq, make_payload(id, /*sleep_s=*/0.1), 5.0, 2.0);
+      if (reply.ok() && payload_id(reply.value().payload) == id) ok_count.fetch_add(1);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(ok_count.load(), kCalls);
+  // Racing dials may overshoot the cap; the uncached extras close when their
+  // callers drop them.
+  const Deadline settle(3.0);
+  while (server.reactor().connection_count() > kChannelsPerEndpoint && !settle.expired()) {
+    sleep_seconds(0.005);
+  }
+  const std::size_t sockets = server.reactor().connection_count();
+  EXPECT_LE(sockets, kChannelsPerEndpoint);
+  EXPECT_GT(sockets, 1u) << "concurrent callers all queued on one socket";
+}
+
+// The read role is handed only to a caller asleep on its reply. A caller
+// still sending a large request cannot take it yet, and a hand-off aimed at
+// it would leave a sleeping caller's delivered reply unread until timeout.
+TEST(MuxTest, ReadRoleHandOffSkipsCallerStillSending) {
+  EchoServer server;
+  auto& pool = ConnectionPool::instance();
+  pool.clear();
+  auto channel = pool.channel(server.endpoint(), 2.0);
+  ASSERT_TRUE(channel.ok());
+
+  // First reader: its reply comes at ~0.2 s, then it leaves the role.
+  std::thread first([&] {
+    auto reply = channel.value()->call(kEchoReq, make_payload(1, /*sleep_s=*/0.2), 5.0);
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(payload_id(reply.value().payload), 1u);
+  });
+  sleep_seconds(0.05);
+  // Sleeper: sent, asleep behind the first reader, reply due at ~0.45 s.
+  std::thread sleeper([&] {
+    auto reply = channel.value()->call(kEchoReq, make_payload(2, /*sleep_s=*/0.4), 1.0);
+    ASSERT_TRUE(reply.ok()) << "delivered reply left unread: " << reply.error().to_string();
+    EXPECT_EQ(payload_id(reply.value().payload), 2u);
+  });
+  sleep_seconds(0.05);
+  // Sender: a 512 KiB request paced over ~1 s, still sending at hand-off.
+  auto slow_send = channel.value()->call(kEchoReq, make_payload(3, 0.0, 512 * 1024), 5.0,
+                                         LinkShape{0.0, 0.5e6});
+  ASSERT_TRUE(slow_send.ok()) << slow_send.error().to_string();
+  EXPECT_EQ(payload_id(slow_send.value().payload), 3u);
+  first.join();
+  sleeper.join();
+}
+
+// A reader whose deadline passes while it reads someone else's paced bulk
+// reply leaves at the next 64 KiB step; the bulk caller finishes the frame.
+TEST(MuxTest, ReaderLeavesAtItsDeadlineDuringPacedBulkReply) {
+  constexpr std::size_t kBulk = 3u << 20;
+  EchoServer server(ReactorConfig{}, LinkShape{0.0, 2.0e6});  // reply paced over ~1.6 s
+  auto& pool = ConnectionPool::instance();
+  pool.clear();
+  auto channel = pool.channel(server.endpoint(), 2.0);
+  ASSERT_TRUE(channel.ok());
+
+  // The short call goes first and holds the read role; its own reply comes
+  // too late for its 1 s deadline.
+  std::atomic<double> short_elapsed{0.0};
+  std::thread short_call([&] {
+    const double start = now_seconds();
+    auto reply = channel.value()->call(kEchoReq, make_payload(1, /*sleep_s=*/2.5), 1.0);
+    short_elapsed = now_seconds() - start;
+    ASSERT_FALSE(reply.ok());
+    EXPECT_EQ(reply.error().code, ErrorCode::kTimeout);
+  });
+  sleep_seconds(0.05);
+  auto bulk = channel.value()->call(kEchoReq, make_payload(2, 0.0, kBulk), 10.0);
+  short_call.join();
+
+  ASSERT_TRUE(bulk.ok()) << bulk.error().to_string();
+  EXPECT_EQ(payload_id(bulk.value().payload), 2u);
+  EXPECT_EQ(bulk.value().payload, make_payload(2, 0.0, kBulk)) << "resumed frame damaged";
+  EXPECT_LT(short_elapsed.load(), 1.3) << "reader overran its deadline by the bulk transfer";
+  EXPECT_TRUE(channel.value()->healthy());
+}
+
 // A timed-out mux call deregisters its waiter; the late reply is read and
-// discarded whole, so the channel keeps serving later calls on the same
-// socket (no poisoning, no eviction).
+// discarded whole by the next reader, so the channel keeps serving later
+// calls on the same socket (no poisoning, no eviction).
 TEST(MuxTest, LateReplyAfterTimeoutIsDiscardedChannelSurvives) {
   EchoServer server;
   auto& pool = ConnectionPool::instance();
@@ -514,14 +637,14 @@ TEST(MuxTest, LateReplyAfterTimeoutIsDiscardedChannelSurvives) {
 
   auto channel = pool.channel(server.endpoint(), 2.0);
   ASSERT_TRUE(channel.ok());
-  auto late = channel.value()->call(kEchoReq, make_payload(1, /*sleep_s=*/0.3), kEchoRep, 1,
+  auto late = channel.value()->call(kEchoReq, make_payload(1, /*sleep_s=*/0.3),
                                     /*timeout_s=*/0.05);
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.error().code, ErrorCode::kTimeout);
 
   sleep_seconds(0.4);  // the late reply lands and must be dropped whole
   EXPECT_TRUE(channel.value()->healthy());
-  auto after = channel.value()->call(kEchoReq, make_payload(2), kEchoRep, 2, 5.0);
+  auto after = channel.value()->call(kEchoReq, make_payload(2), 5.0);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(payload_id(after.value().payload), 2u);
 }
@@ -537,14 +660,14 @@ TEST(MuxTest, MidStreamResetEvictsChannelAndRedials) {
 
   auto first = pool.channel(server.endpoint(), 2.0);
   ASSERT_TRUE(first.ok());
-  auto warm = first.value()->call(kEchoReq, make_payload(1), kEchoRep, 1, 5.0);
+  auto warm = first.value()->call(kEchoReq, make_payload(1), 5.0);
   ASSERT_TRUE(warm.ok());
 
   // One reset: the send tears the stream mid-frame and the channel poisons.
   FaultPlan plan = FaultPlan::single(FaultMode::kReset, 1.0);
   plan.rules[0].max_triggers = 1;
   FaultInjector::instance().arm(server.endpoint(), plan);
-  auto reset = first.value()->call(kEchoReq, make_payload(2), kEchoRep, 2, 5.0);
+  auto reset = first.value()->call(kEchoReq, make_payload(2), 5.0);
   ASSERT_FALSE(reset.ok());
   EXPECT_TRUE(is_retryable(reset.error().code)) << reset.error().to_string();
   EXPECT_FALSE(first.value()->healthy());
@@ -556,9 +679,47 @@ TEST(MuxTest, MidStreamResetEvictsChannelAndRedials) {
   ASSERT_TRUE(second.ok());
   EXPECT_NE(second.value().get(), first.value().get());
   EXPECT_GT(metrics::counter("net.mux.evicted_total").value(), evicted_before);
-  auto after = second.value()->call(kEchoReq, make_payload(3), kEchoRep, 3, 5.0);
+  auto after = second.value()->call(kEchoReq, make_payload(3), 5.0);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(payload_id(after.value().payload), 3u);
+}
+
+// Callers read their own replies: fanning out to many endpoints costs a few
+// cached sockets per endpoint and no thread per endpoint.
+TEST(MuxTest, FanOutToManyEndpointsAddsNoThreads) {
+  constexpr int kEndpoints = 32;
+  constexpr int kCallers = 4;
+  ReactorConfig config;
+  config.workers = 1;
+  config.max_workers = 1;
+  config.inline_handlers = true;
+  std::vector<std::unique_ptr<EchoServer>> servers;
+  for (int i = 0; i < kEndpoints; ++i) servers.push_back(std::make_unique<EchoServer>(config));
+  ConnectionPool::instance().clear();
+
+  const int before = thread_count();
+  ASSERT_GT(before, 0);
+  std::atomic<int> ok_count{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int i = 0; i < kEndpoints; ++i) {
+        const auto tag = static_cast<std::uint64_t>(c * kEndpoints + i + 1);
+        auto reply = call(servers[static_cast<std::size_t>((i + c) % kEndpoints)]->endpoint(),
+                          kEchoReq, make_payload(tag), 5.0, 2.0);
+        if (reply.ok() && payload_id(reply.value().payload) == tag) ok_count.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  const int after = thread_count();
+
+  EXPECT_EQ(ok_count.load(), kCallers * kEndpoints);
+  EXPECT_LE(after, before) << "channels started " << (after - before) << " threads for "
+                           << kEndpoints << " endpoints";
+  for (const auto& server : servers) {
+    EXPECT_LE(server->reactor().connection_count(), static_cast<std::size_t>(kCallers));
+  }
 }
 
 }  // namespace
